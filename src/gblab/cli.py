@@ -202,8 +202,11 @@ class Manifest:
         return all(v["passed"] for v in self.checks.values())
 
 
-def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int, workers: int) -> int:
+def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int | None) -> int:
+    """Solve from the configured data; the data seed is --seed when given,
+    else the config's [solve] seed."""
     sec = cp["solve"]
+    seed = seed if seed is not None else sec.getint("seed")
     manifest = Manifest("solve", dict(sec), seed)
     lam = sec.getfloat("lam")
     K = sec.getfloat("k")
@@ -214,7 +217,7 @@ def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int, workers: 
     elif kind == "modes":
         u0 = field_from_modes(lattice, _parse_modes(sec.get("data_modes")))
     elif kind == "gaussian":
-        rng = np.random.default_rng(seed if seed is not None else sec.getint("seed"))
+        rng = np.random.default_rng(seed)
         c = rng.standard_normal(lattice.modes) + 1j * rng.standard_normal(lattice.modes)
         u0 = SpectralField(lattice, 0.01 * c * (1 + lattice.k**2) ** -1)
     else:
@@ -465,7 +468,7 @@ def _verify_l4(cp, manifest, out_dir, seed):
     )
 
 
-def cmd_inflate(cp, out_dir: Path, seed: int, workers: int) -> int:
+def cmd_inflate(cp, out_dir: Path, seed: int) -> int:
     sec = cp["inflate"]
     manifest = Manifest("inflate", dict(sec), seed)
     n_list = tuple(_floats(sec.get("n_list"))) if sec.get("n_list").strip() else ()
@@ -541,10 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("solve", "verify", "inflate", "norms"):
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
+        # solve falls back to its config seed; the other commands to 0
+        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out-dir", default="out")
         if name == "verify":
+            sp.add_argument("--workers", type=int, default=1)
             sp.add_argument(
                 "--suite",
                 action="append",
@@ -570,13 +574,14 @@ def main(argv=None) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
-            return cmd_solve(cp, out_dir, args.seed, args.workers)
+            return cmd_solve(cp, out_dir, args.seed)
+        seed = args.seed if args.seed is not None else 0
         if args.command == "verify":
-            return cmd_verify(cp, args.suite, out_dir, args.seed, args.workers)
+            return cmd_verify(cp, args.suite, out_dir, seed, args.workers)
         if args.command == "inflate":
-            return cmd_inflate(cp, out_dir, args.seed, args.workers)
+            return cmd_inflate(cp, out_dir, seed)
         if args.command == "norms":
-            return cmd_norms(cp, args.spectrum, out_dir, args.seed)
+            return cmd_norms(cp, args.spectrum, out_dir, seed)
         raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, InflationError, LatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

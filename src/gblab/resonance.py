@@ -275,82 +275,125 @@ def default_k_values(case: CountingCase) -> tuple:
 
 
 def _batched_values(case: CountingCase, taus: np.ndarray, k: float) -> np.ndarray:
-    """cell_measure over an array of taus, vectorized per admissible k1 window."""
+    """cell_measure over an array of taus: closed-form window sums for the
+    linear kernels, a loop over admissible k1 windows for the quadratic ones."""
     taus = np.asarray(taus, dtype=np.float64)
+    if case.lemma not in _QUADRATIC:
+        if k == 0.0:
+            return np.zeros(taus.size)
+        return _linear_values(case, taus, k)
     out = np.zeros(taus.size)
-    if case.lemma not in _QUADRATIC and k == 0.0:
-        return out
     order = np.argsort(taus)
-    ts = taus[order]
+    out[order] = _quadratic_values(case, taus[order], k)
+    return out
+
+
+def _quadratic_values(case: CountingCase, ts: np.ndarray, k: float) -> np.ndarray:
+    """RB1/DRB2 values at ascending taus, summed window by window over k1."""
     lam = case.lam
     r1, r2 = _radius(case.M1), _radius(case.M2)
     R = r1 + r2
     cap = np.minimum(2.0 * r1, 2.0 * r2)
-    vals = np.zeros(ts.size)
-    if case.lemma in _QUADRATIC:
-        # window in y = -(tau + k^2/2): [z^2/2 - R, z^2/2 + R] per z
-        y = -(ts + 0.5 * k * k)
-        ymax = float(y.max()) if y.size else 0.0
-        if ymax + R < 0:
-            return out
-        zmax = math.sqrt(max(2.0 * (ymax + R), 0.0))
-        j_lo = math.ceil((-zmax + k) / 2.0 * lam - 1e-12)
-        j_hi = math.floor((zmax + k) / 2.0 * lam + 1e-12)
-        if j_hi - j_lo > _K1_CAP:
-            raise CountingError("sweep window exceeds the safety cap")
-        ys = y[::-1]  # ascending in y
-        acc = np.zeros(ys.size)
-        for j in range(j_lo, j_hi + 1):
-            z = (2.0 * j) / lam - k
-            c = 0.5 * z * z
-            lo_i = np.searchsorted(ys, c - R, side="left")
-            hi_i = np.searchsorted(ys, c + R, side="right")
-            if hi_i <= lo_i:
-                continue
-            yy = ys[lo_i:hi_i]
-            length = np.minimum(cap, R - np.abs(0.5 * z * z - yy))
-            s = np.sqrt(np.complex128(2.0 * yy))
-            gate = np.minimum(np.abs(z - s), np.abs(z + s)) <= 1.0 / lam
-            if case.side == "exceptional":
-                contrib = length * gate
-            else:
-                w = math.sqrt(1.0 + z * z) if case.deriv_weight else 1.0
-                contrib = w * length * (~gate)
-            acc[lo_i:hi_i] += contrib
-        vals = acc[::-1] / lam
-    else:
-        # window in x = tau - k^2 + 2 k k1: per k1 contributes for |x| <= R
-        x = ts - k * k
-        xmin, xmax = float(x.min()), float(x.max())
-        # solve -x - R <= 2 k k1 <= -x + R for both k signs via direct bounds
-        b1 = (-(xmax) - R) / (2.0 * k)
-        b2 = (-(xmin) + R) / (2.0 * k)
-        lo_k1, hi_k1 = min(b1, b2), max(b1, b2)
-        j_lo = math.ceil(lo_k1 * lam - 1e-12)
-        j_hi = math.floor(hi_k1 * lam + 1e-12)
-        if j_hi - j_lo > _K1_CAP:
-            raise CountingError("sweep window exceeds the safety cap")
-        acc = np.zeros(x.size)
-        gate_half = abs(k) / lam
-        for jj in range(j_lo, j_hi + 1):
-            k1 = jj / lam
-            c = -2.0 * k * k1  # contributes where |x - c| <= R
-            lo_i = np.searchsorted(x, c - R, side="left")
-            hi_i = np.searchsorted(x, c + R, side="right")
-            if hi_i <= lo_i:
-                continue
-            xx = x[lo_i:hi_i]
-            length = np.minimum(cap, R - np.abs(xx + 2.0 * k * k1))
-            gate = np.abs(xx + 2.0 * k * k1) <= gate_half
-            if case.side == "exceptional":
-                contrib = length * gate
-            else:
-                w = abs(k) if case.deriv_weight else 1.0
-                contrib = w * length * (~gate)
-            acc[lo_i:hi_i] += contrib
-        vals = acc / lam
-    out[order] = vals
-    return out
+    # window in y = -(tau + k^2/2): [z^2/2 - R, z^2/2 + R] per z
+    y = -(ts + 0.5 * k * k)
+    ymax = float(y.max()) if y.size else 0.0
+    if ymax + R < 0:
+        return np.zeros(ts.size)
+    zmax = math.sqrt(max(2.0 * (ymax + R), 0.0))
+    j_lo = math.ceil((-zmax + k) / 2.0 * lam - 1e-12)
+    j_hi = math.floor((zmax + k) / 2.0 * lam + 1e-12)
+    if j_hi - j_lo > _K1_CAP:
+        raise CountingError("sweep window exceeds the safety cap")
+    ys = y[::-1]  # ascending in y
+    s_all = np.sqrt(np.complex128(2.0 * ys))
+    zs = (2.0 * np.arange(j_lo, j_hi + 1)) / lam - k
+    cs = 0.5 * zs * zs
+    lo_all = np.searchsorted(ys, cs - R, side="left")
+    hi_all = np.searchsorted(ys, cs + R, side="right")
+    acc = np.zeros(ys.size)
+    for i in np.flatnonzero(hi_all > lo_all):
+        z, lo_i, hi_i = zs[i], lo_all[i], hi_all[i]
+        yy = ys[lo_i:hi_i]
+        length = np.minimum(cap, R - np.abs(cs[i] - yy))
+        s = s_all[lo_i:hi_i]
+        gate = np.minimum(np.abs(z - s), np.abs(z + s)) <= 1.0 / lam
+        if case.side == "exceptional":
+            contrib = length * gate
+        else:
+            w = math.sqrt(1.0 + z * z) if case.deriv_weight else 1.0
+            contrib = w * length * (~gate)
+        acc[lo_i:hi_i] += contrib
+    return acc[::-1] / lam
+
+
+def _linear_values(case: CountingCase, taus: np.ndarray, k: float) -> np.ndarray:
+    """RB2/DRB1 values in closed form, O(taus) with no loop over k1.
+
+    With x = tau - k^2 and m = sign(k) j, the window offsets
+    d_m = x + 2|k| m/lam form an arithmetic progression and the weight is
+    constant, so the sum of the trapezoid min(cap, R - |d|) over |d| <= R is a
+    flat count plus two arithmetic series.  The thin gate |d| <= |k|/lam (half
+    the step) holds for at most two m next to round(-x lam / 2|k|); those
+    terms are evaluated exactly as the window loop evaluates them.
+    """
+    lam = case.lam
+    r1, r2 = _radius(case.M1), _radius(case.M2)
+    R = r1 + r2
+    cap = min(2.0 * r1, 2.0 * r2)
+    flat = R - cap  # |d| <= flat is the plateau of the trapezoid
+    x = taus - k * k
+    xmin, xmax = float(x.min()), float(x.max())
+    # the lattice j any tau's window reaches: -x - R <= 2 k j/lam <= -x + R
+    b1 = (-(xmax) - R) / (2.0 * k)
+    b2 = (-(xmin) + R) / (2.0 * k)
+    j_lo = math.ceil(min(b1, b2) * lam - 1e-12)
+    j_hi = math.floor(max(b1, b2) * lam + 1e-12)
+    if j_hi - j_lo > _K1_CAP:
+        raise CountingError("sweep window exceeds the safety cap")
+    sgn = 1.0 if k > 0 else -1.0
+
+    def offset(m):
+        # d at j = sgn * m, rounded exactly as cell_measure rounds it
+        return x + 2.0 * k * ((sgn * m) / lam)
+
+    def series(m_a, m_b, sign):
+        # sum of R + sign * d_m over m_a <= m <= m_b, zero where the run is empty
+        n = np.maximum(m_b - m_a + 1.0, 0.0)
+        ends = (R + sign * offset(m_a)) + (R + sign * offset(m_b))
+        return np.where(n > 0, 0.5 * n * ends, 0.0)
+
+    scale = lam / (2.0 * abs(k))  # lattice steps per unit of d
+    top_hi = np.floor((R - x) * scale)
+    flat_hi = np.floor((flat - x) * scale)
+    flat_lo = np.ceil((-flat - x) * scale)
+    top_lo = np.ceil((-R - x) * scale)
+    total = (
+        cap * np.maximum(flat_hi - flat_lo + 1.0, 0.0)
+        + series(flat_hi + 1.0, top_hi, -1.0)
+        + series(top_lo, flat_lo - 1.0, 1.0)
+    )
+    gate_half = abs(k) / lam
+    gated = np.zeros(x.size)
+    m0 = np.rint(-x * scale)
+    for dm in (-1.0, 0.0, 1.0):
+        j = sgn * (m0 + dm)
+        k1 = j / lam
+        d = x + 2.0 * k * k1
+        c = -2.0 * k * k1
+        # the gate, then the window |d| <= R as x in [c - R, c + R] (the
+        # gate reaches past R when |k|/lam > R)
+        hit = (
+            (np.abs(d) <= gate_half)
+            & (x >= c - R)
+            & (x <= c + R)
+            & (j >= j_lo)
+            & (j <= j_hi)
+        )
+        gated += np.where(hit, np.minimum(cap, R - np.abs(d)), 0.0)
+    if case.side == "exceptional":
+        return gated / lam
+    w = abs(k) if case.deriv_weight else 1.0
+    return w * (total - gated) / lam
 
 
 @dataclass(frozen=True)

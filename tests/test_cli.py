@@ -48,6 +48,27 @@ class TestSolve:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["checks"]["reference_agreement"]["passed"]
 
+    def test_config_seed_used_without_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[solve]\ndata = gaussian\nseed = 7\nk = 2.0\nlam = 2.0\ndt = 0.01\nt = 0.1\n"
+        )
+        runs = {}
+        for name, extra in (("config", []), ("seven", ["--seed", "7"]), ("zero", ["--seed", "0"])):
+            out = tmp_path / name
+            assert run(["solve", "--config", str(cfg), "--out-dir", str(out)] + extra) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs[name] = ((out / "trajectory.spec").read_bytes(), manifest["seed"])
+        assert runs["config"] == runs["seven"]
+        assert runs["config"][1] == 7 and runs["zero"][1] == 0
+        assert runs["config"][0] != runs["zero"][0]
+
+    def test_workers_flag_only_on_verify(self, tmp_path):
+        for command in (["solve"], ["inflate"], ["norms", "f.spec"]):
+            with pytest.raises(SystemExit) as exc:
+                run(command + ["--workers", "2", "--out-dir", str(tmp_path)])
+            assert exc.value.code == 2
+
     def test_malformed_config_exits_2_without_outputs(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[solve]\ndata = modes\ndata_modes = oops\n")
@@ -68,6 +89,17 @@ class TestVerify:
         assert manifest["checks"]["counting_ratio_spread"]["passed"]
         assert (out / "counting.csv").exists()
         assert rc in (0, 1)  # trend check on a tiny grid may legitimately flag
+
+    def test_two_workers_write_the_same_counting_csv(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[counting]\nlambdas = 1,2\nm_cap = 2\nn_random = 500\n")
+        blobs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            run(["verify", "--suite", "counting", "--config", str(cfg), "--seed", "3",
+                 "--workers", workers, "--out-dir", str(out)])
+            blobs.append((out / "counting.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_embeddings_small(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

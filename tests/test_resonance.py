@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gblab import resonance
 from gblab.resonance import (
+    LEMMAS,
+    SIDES,
     CountingCase,
     CountingError,
     ResonancePoint,
     SweepSampler,
+    _batched_values,
+    _critical_taus,
     cell_measure,
     default_k_values,
     dual_case,
@@ -278,3 +283,192 @@ class TestSupSweep:
         assert 0.0 in default_k_values(case)
         case2 = CountingCase("RB2", "complement", 1.0, 1.0, 2.0)
         assert 0.0 not in default_k_values(case2)
+
+
+def _loop_values(case, taus, k):
+    """Reference sweep: every admissible k1 window enumerated in a Python loop,
+    the way the sweep was evaluated before the linear kernels got closed forms."""
+    from gblab.resonance import _QUADRATIC, _radius
+
+    taus = np.asarray(taus, dtype=np.float64)
+    out = np.zeros(taus.size)
+    if case.lemma not in _QUADRATIC and k == 0.0:
+        return out
+    order = np.argsort(taus)
+    ts = taus[order]
+    lam = case.lam
+    r1, r2 = _radius(case.M1), _radius(case.M2)
+    R = r1 + r2
+    cap = np.minimum(2.0 * r1, 2.0 * r2)
+    if case.lemma in _QUADRATIC:
+        y = -(ts + 0.5 * k * k)
+        ymax = float(y.max())
+        if ymax + R < 0:
+            return out
+        zmax = math.sqrt(max(2.0 * (ymax + R), 0.0))
+        j_lo = math.ceil((-zmax + k) / 2.0 * lam - 1e-12)
+        j_hi = math.floor((zmax + k) / 2.0 * lam + 1e-12)
+        ys = y[::-1]
+        acc = np.zeros(ys.size)
+        for j in range(j_lo, j_hi + 1):
+            z = (2.0 * j) / lam - k
+            c = 0.5 * z * z
+            lo_i = np.searchsorted(ys, c - R, side="left")
+            hi_i = np.searchsorted(ys, c + R, side="right")
+            if hi_i <= lo_i:
+                continue
+            yy = ys[lo_i:hi_i]
+            length = np.minimum(cap, R - np.abs(0.5 * z * z - yy))
+            s = np.sqrt(np.complex128(2.0 * yy))
+            gate = np.minimum(np.abs(z - s), np.abs(z + s)) <= 1.0 / lam
+            if case.side == "exceptional":
+                contrib = length * gate
+            else:
+                w = math.sqrt(1.0 + z * z) if case.deriv_weight else 1.0
+                contrib = w * length * (~gate)
+            acc[lo_i:hi_i] += contrib
+        vals = acc[::-1] / lam
+    else:
+        x = ts - k * k
+        xmin, xmax = float(x.min()), float(x.max())
+        b1 = (-(xmax) - R) / (2.0 * k)
+        b2 = (-(xmin) + R) / (2.0 * k)
+        j_lo = math.ceil(min(b1, b2) * lam - 1e-12)
+        j_hi = math.floor(max(b1, b2) * lam + 1e-12)
+        acc = np.zeros(x.size)
+        gate_half = abs(k) / lam
+        for jj in range(j_lo, j_hi + 1):
+            k1 = jj / lam
+            c = -2.0 * k * k1
+            lo_i = np.searchsorted(x, c - R, side="left")
+            hi_i = np.searchsorted(x, c + R, side="right")
+            if hi_i <= lo_i:
+                continue
+            xx = x[lo_i:hi_i]
+            length = np.minimum(cap, R - np.abs(xx + 2.0 * k * k1))
+            gate = np.abs(xx + 2.0 * k * k1) <= gate_half
+            if case.side == "exceptional":
+                contrib = length * gate
+            else:
+                w = abs(k) if case.deriv_weight else 1.0
+                contrib = w * length * (~gate)
+            acc[lo_i:hi_i] += contrib
+        vals = acc / lam
+    out[order] = vals
+    return out
+
+
+def _gate_edge_range(case, tau, k, slack=1e-9):
+    """cell_measure with the exceptional gate narrowed and widened by a relative
+    slack: the values a point sitting on the gate's edge may take."""
+    from gblab.resonance import _QUADRATIC, _admissible_k1, _radius
+
+    j = _admissible_k1(case, tau, k)
+    if j.size == 0:
+        return 0.0, 0.0
+    lam = case.lam
+    k1 = j / lam
+    r1, r2 = _radius(case.M1), _radius(case.M2)
+    if case.lemma in _QUADRATIC:
+        z = 2.0 * k1 - k
+        D = 0.5 * z * z + (tau + 0.5 * k * k)
+        s = np.sqrt(np.complex128(-2.0 * (tau + 0.5 * k * k)))
+        dist = np.minimum(np.abs(z - s), np.abs(z + s))
+        width = 1.0 / lam
+        weight = np.sqrt(1.0 + z * z)
+    else:
+        D = tau - k * k + 2.0 * k * k1
+        dist = np.abs(D)
+        width = abs(k) / lam
+        weight = np.full(k1.shape, abs(k))
+    length = np.clip(np.minimum(min(2.0 * r1, 2.0 * r2), r1 + r2 - np.abs(D)), 0.0, None)
+    vals = []
+    for sl in (-slack, slack):
+        gate = dist <= (1.0 + sl) * width
+        if case.side == "exceptional":
+            vals.append(float(np.sum(length[gate]) / lam))
+        else:
+            w = weight if case.deriv_weight else np.ones_like(length)
+            vals.append(float(np.sum((w * length)[~gate]) / lam))
+    return min(vals), max(vals)
+
+
+def _sweep_cases():
+    for lemma in LEMMAS:
+        for side in SIDES:
+            for deriv_weight in (True, False):
+                yield CountingCase(lemma, side, 2.0, 1.0, 2.0, deriv_weight)
+
+
+def _case_id(case):
+    return f"{case.lemma}-{case.side}-{'weighted' if case.deriv_weight else 'unweighted'}"
+
+
+def _sweep_ks(case):
+    if case.lemma in ("RB1", "DRB2"):
+        return (0.0, 0.5, -0.5, 1.5)
+    # 16 puts the gate half-width |k|/lam past the window radius
+    return (0.5, -0.5, 1.0, -1.0, 8.0, -16.0)
+
+
+class TestBatchedValues:
+    """The sweep evaluator against cell_measure point by point and against
+    the per-k1 window loop it replaced."""
+
+    @pytest.mark.parametrize("case", list(_sweep_cases()), ids=_case_id)
+    def test_random_taus_match_cell_measure(self, case):
+        rng = np.random.default_rng(17)
+        for k in _sweep_ks(case):
+            taus = rng.uniform(-60.0 - k * k, 20.0 + k * k, size=150)
+            got = _batched_values(case, taus, k)
+            want = np.array([cell_measure(case, t, k) for t in taus])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("case", list(_sweep_cases()), ids=_case_id)
+    def test_critical_taus_within_gate_edge_range(self, case):
+        for k in _sweep_ks(case):
+            taus = _critical_taus(case, k)
+            got = _batched_values(case, taus, k)
+            for tau, v in zip(taus, got):
+                lo, hi = _gate_edge_range(case, float(tau), k)
+                exact = cell_measure(case, tau, k)
+                lo, hi = min(lo, exact), max(hi, exact)
+                tol = 1e-12 * max(1.0, abs(hi))
+                assert lo - tol <= v <= hi + tol, (tau, k, v, lo, hi)
+
+    @pytest.mark.parametrize("lemma", ["RB2", "DRB1"])
+    def test_linear_kernels_vanish_at_zero_frequency(self, lemma):
+        for side in SIDES:
+            case = CountingCase(lemma, side, 2.0, 2.0, 2.0)
+            taus = np.linspace(-30.0, 10.0, 101)
+            assert np.all(_batched_values(case, taus, 0.0) == 0.0)
+
+    @pytest.mark.parametrize("case", list(_sweep_cases()), ids=_case_id)
+    def test_matches_window_loop(self, case):
+        rng = np.random.default_rng(3)
+        sampler = SweepSampler(n_random=1500)
+        for k in _sweep_ks(case):
+            taus = sampler.taus(case, k, rng)
+            got = _batched_values(case, taus, k)
+            want = _loop_values(case, taus, k)
+            if case.lemma in ("RB1", "DRB2") or case.side == "exceptional":
+                # same operations on the same operands, term by term
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_sup_sweep_matches_window_loop(self, monkeypatch):
+        sampler = SweepSampler(n_random=600, seed=9)
+        cases = [
+            CountingCase(lemma, side, M1, M2, lam)
+            for lemma in LEMMAS
+            for side in SIDES
+            for lam in (1.0, 4.0)
+            for M1, M2 in ((1.0, 1.0), (4.0, 2.0))
+        ]
+        fast = [sup_sweep(c, sampler) for c in cases]
+        monkeypatch.setattr(resonance, "_batched_values", _loop_values)
+        slow = [sup_sweep(c, sampler) for c in cases]
+        for a, b in zip(fast, slow):
+            assert a.n_samples == b.n_samples
+            assert a.sup_value == pytest.approx(b.sup_value, rel=1e-12, abs=1e-12)

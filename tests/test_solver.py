@@ -13,6 +13,8 @@ from gblab.norms import h_norm
 from gblab.reduction import omega_multiplier
 from gblab.solver import (
     SolverConfig,
+    _a2_closed_form,
+    _a2_quadrature,
     a2_iterate,
     bump_psi,
     duhamel,
@@ -352,6 +354,16 @@ class TestA2Iterate:
         for _ in range(3):
             phi = random_field(lat, rng)
             a2_iterate(phi, 0.3, 1.0)  # raises InternalConsistencyError on drift
+
+    def test_quadrature_chunking(self, rng):
+        # a chunk size that leaves a partial last chunk must not change the sum
+        lat = make_lattice(2.0, 4.0)
+        phi = random_field(lat, rng)
+        closed = _a2_closed_form(phi, 0.4, 2.0)
+        whole = _a2_quadrature(phi, 0.4, 2.0)
+        chunked = _a2_quadrature(phi, 0.4, 2.0, chunk=7)
+        assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
+        assert np.linalg.norm(whole - closed) <= 1e-8 * np.linalg.norm(closed)
 
     def test_rejects_nonpositive_time(self):
         lat = make_lattice(1.0, 2.0)
