@@ -16,6 +16,7 @@ from scipy.signal import fftconvolve
 from .lattice import (
     LatticeError,
     SpacetimeSpectrum,
+    inverse_rows,
     make_lattice,
     make_tau_grid,
 )
@@ -410,16 +411,14 @@ def physical_samples(u: SpacetimeSpectrum, oversample: int = 4):
     n_tau, modes = u.coeff.shape
     n_t = oversample * n_tau
     n_x = oversample * modes
-    spec = np.zeros((n_t, n_x), dtype=np.complex128)
     half_t = (n_tau - 1) // 2
-    J = u.lattice.half_modes
-    # place (tau, k) data on the padded FFT grid
-    rows = np.concatenate([u.coeff[half_t:], np.zeros((n_t - n_tau, modes)), u.coeff[:half_t]])
-    spec[:, : J + 1] = rows[:, J:]
-    spec[:, n_x - J :] = rows[:, :J]
-    phys = np.fft.ifft2(spec)
-    # measure factors: dtau sum over tau and 1/lam sum over k, one 1/sqrt(2pi) each
-    phys *= (n_t * u.dtau / math.sqrt(TWO_PI)) * (n_x / (math.sqrt(TWO_PI) * u.lattice.lam))
+    # k -> x per tau row, then the tau rows on the padded FFT grid
+    rows = inverse_rows(u.coeff, u.lattice, n_x)
+    spec = np.zeros((n_t, n_x), dtype=np.complex128)
+    spec[: n_tau - half_t] = rows[half_t:]
+    spec[n_t - half_t :] = rows[:half_t]
+    # dtau sum over tau with its 1/sqrt(2pi)
+    phys = np.fft.ifft(spec, axis=0) * (n_t * u.dtau / math.sqrt(TWO_PI))
     dt = TWO_PI / (n_t * u.dtau)
     dx = u.lattice.circumference / n_x
     return phys, dt, dx

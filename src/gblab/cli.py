@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +257,7 @@ def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int | None) ->
     return EXIT_OK if manifest.all_passed else EXIT_FINDING
 
 
-def counting_grid(cp, seed: int, workers: int):
+def counting_grid(cp, seed: int):
     sec = cp["counting"]
     lambdas = _floats(sec.get("lambdas"))
     m_cap = sec.getfloat("m_cap")
@@ -276,19 +275,14 @@ def counting_grid(cp, seed: int, workers: int):
         for M1 in dyadic
         for M2 in dyadic
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: sup_sweep(c, sampler), cases))
-    else:
-        results = [sup_sweep(c, sampler) for c in cases]
-    return results, lambdas, dyadic
+    return [sup_sweep(c, sampler) for c in cases]
 
 
-def cmd_verify(cp, suites, out_dir: Path, seed: int, workers: int) -> int:
+def cmd_verify(cp, suites, out_dir: Path, seed: int) -> int:
     manifest = Manifest("verify", {s: dict(cp[s]) for s in suites}, seed)
     for suite in suites:
         if suite == "counting":
-            _verify_counting(cp, manifest, out_dir, seed, workers)
+            _verify_counting(cp, manifest, out_dir, seed)
         elif suite == "embeddings":
             _verify_embeddings(cp, manifest, out_dir, seed)
         elif suite == "bilinear":
@@ -301,9 +295,9 @@ def cmd_verify(cp, suites, out_dir: Path, seed: int, workers: int) -> int:
     return EXIT_OK if manifest.all_passed else EXIT_FINDING
 
 
-def _verify_counting(cp, manifest, out_dir, seed, workers):
+def _verify_counting(cp, manifest, out_dir, seed):
     sec = cp["counting"]
-    results, lambdas, dyadic = counting_grid(cp, seed, workers)
+    results = counting_grid(cp, seed)
     csv_path = out_dir / "counting.csv"
     write_sweep_csv(results, csv_path)
     manifest.add_output(csv_path)
@@ -548,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out-dir", default="out")
         if name == "verify":
-            sp.add_argument("--workers", type=int, default=1)
             sp.add_argument(
                 "--suite",
                 action="append",
@@ -577,7 +570,7 @@ def main(argv=None) -> int:
             return cmd_solve(cp, out_dir, args.seed)
         seed = args.seed if args.seed is not None else 0
         if args.command == "verify":
-            return cmd_verify(cp, args.suite, out_dir, seed, args.workers)
+            return cmd_verify(cp, args.suite, out_dir, seed)
         if args.command == "inflate":
             return cmd_inflate(cp, out_dir, seed)
         if args.command == "norms":

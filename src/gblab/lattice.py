@@ -118,7 +118,8 @@ def forward_transform(samples: np.ndarray, lattice: FrequencyLattice) -> Spectra
     """Fourier coefficients (2*pi)^(-1/2) * integral e^{-ikx} phi(x) dx of sampled phi.
 
     Exact for inputs band-limited to the lattice; sample count must be at least
-    the mode count so the discrete transform is alias-free.
+    the mode count so the discrete transform is alias-free.  Stacked samples
+    (..., n) give stacked coefficient rows (..., modes) instead of a field.
     """
     samples = np.asarray(samples)
     n = samples.shape[-1]
@@ -134,18 +135,21 @@ def forward_transform(samples: np.ndarray, lattice: FrequencyLattice) -> Spectra
     return coeff
 
 
-def inverse_transform(field: SpectralField, n: int | None = None) -> np.ndarray:
-    """Physical samples on the uniform grid of [0, 2*pi*lam)."""
-    lattice = field.lattice
-    if n is None:
-        n = lattice.modes
+def inverse_rows(rows: np.ndarray, lattice: FrequencyLattice, n: int) -> np.ndarray:
+    """Physical samples of stacked spectra (..., modes) on the uniform n-point
+    grid of [0, 2*pi*lam); the inverse of forward_transform for n >= modes."""
     if n < lattice.modes:
         raise LatticeError(f"need >= {lattice.modes} samples, got {n}")
     J = lattice.half_modes
-    spec = np.zeros(n, dtype=np.complex128)
-    spec[: J + 1] = field.coeff[J:]
-    spec[n - J:] = field.coeff[:J]
-    return np.fft.ifft(spec) * (n / (SQRT_TWO_PI * lattice.lam))
+    spec = np.zeros(rows.shape[:-1] + (n,), dtype=np.complex128)
+    spec[..., : J + 1] = rows[..., J:]
+    spec[..., n - J:] = rows[..., :J]
+    return np.fft.ifft(spec, axis=-1) * (n / (SQRT_TWO_PI * lattice.lam))
+
+
+def inverse_transform(field: SpectralField, n: int | None = None) -> np.ndarray:
+    """Physical samples on the uniform grid of [0, 2*pi*lam)."""
+    return inverse_rows(field.coeff, field.lattice, field.lattice.modes if n is None else n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +194,6 @@ def make_tau_grid(tau_max: float, dtau: float) -> np.ndarray:
     """Symmetric uniform grid covering [-tau_max, tau_max]."""
     n = int(math.ceil(tau_max / dtau))
     return np.arange(-n, n + 1) * dtau
-
-
-def default_tau_max(K: float) -> float:
-    """Covers modulations up to <k>^2 with headroom (tau ~ 8 K^2)."""
-    return 8.0 * K * K
 
 
 @dataclass(frozen=True, eq=False)

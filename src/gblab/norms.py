@@ -9,7 +9,6 @@ norms; determinism across runs is what matters here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -357,7 +356,3 @@ def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:
         "value": value,
         "shells": shells,
     }
-
-
-def norm_report_json(u: SpacetimeSpectrum, spec: NormSpec) -> str:
-    return json.dumps(norm_report(u, spec), sort_keys=True)

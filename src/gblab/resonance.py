@@ -244,20 +244,22 @@ def _critical_taus(case: CountingCase, k: float) -> np.ndarray:
     return np.unique(np.concatenate(outs))
 
 
+# random taus reach this many cell radii below the lowest critical tau
+_DEEP_FACTOR = 8.0
+
+
 @dataclass(frozen=True)
 class SweepSampler:
     """Sampling plan for the sup certification: topology-critical tau values
     plus uniform random fill, per sup frequency."""
 
     n_random: int = 100_000
-    k_values: tuple = ()
     seed: int = 7
-    deep_factor: float = 8.0
 
     def taus(self, case: CountingCase, k: float, rng) -> np.ndarray:
         r = _radius(case.M1) + _radius(case.M2)
         crit = _critical_taus(case, k)
-        lo = float(crit.min()) - self.deep_factor * r
+        lo = float(crit.min()) - _DEEP_FACTOR * r
         hi = float(crit.max()) + 2.0 * r
         rand = rng.uniform(lo, hi, size=self.n_random)
         return np.concatenate([crit, rand])
@@ -411,9 +413,8 @@ def sup_sweep(case: CountingCase, sampler: SweepSampler | None = None) -> SweepR
     sampler = sampler or SweepSampler()
     tag = f"{case.lemma}|{case.side}|{case.M1}|{case.M2}|{case.lam}".encode()
     rng = np.random.default_rng(sampler.seed + zlib.crc32(tag))
-    k_values = sampler.k_values or default_k_values(case)
     best, w_tau, w_k, n = -1.0, 0.0, 0.0, 0
-    for k in k_values:
+    for k in default_k_values(case):
         if case.lemma not in _QUADRATIC and k == 0.0:
             continue
         taus = sampler.taus(case, k, rng)

@@ -16,10 +16,14 @@ from .lattice import (
     LatticeError,
     SpectralField,
     Trajectory,
+    forward_transform,
+    inverse_rows,
 )
 from .reduction import omega_multiplier
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_ROW_CHUNK = 256  # rows per padded transform in nonlinearity_rows
+_DIVERGENCE_PATIENCE = 3  # consecutive non-contracting Picard steps tolerated
 
 
 class PicardDivergenceError(RuntimeError):
@@ -57,15 +61,11 @@ class SolverConfig:
     K: float = 64.0
     max_picard: int = 40
     contraction_tol: float = 1e-10
-    dealias: float = 2.0
     t_min: float = 0.0
     include_linear: bool = True
     include_quadratic: bool = True
-    divergence_patience: int = 3
 
     def __post_init__(self):
-        if self.dealias < 1.5:
-            raise ValueError("dealias factor must be >= 1.5")
         n = (self.T - self.t_min) / self.dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError("dt must divide the solve interval")
@@ -90,36 +90,22 @@ def free_trajectory(u0: SpectralField, t: np.ndarray) -> Trajectory:
     return Trajectory(u0.lattice, np.asarray(t, dtype=np.float64), coeff)
 
 
-def _pad_size(modes: int, dealias: float) -> int:
-    need = max(int(math.ceil(dealias * modes)), 2 * modes - 1)
-    n = 1
-    while n < need:
-        n *= 2
-    return n
+def _pad_size(J: int) -> int:
+    """Smallest power of two >= 3J + 1.
 
-
-def _to_physical(rows: np.ndarray, lattice: FrequencyLattice, n_pad: int) -> np.ndarray:
-    J = lattice.half_modes
-    spec = np.zeros(rows.shape[:-1] + (n_pad,), dtype=np.complex128)
-    spec[..., : J + 1] = rows[..., J:]
-    spec[..., n_pad - J:] = rows[..., :J]
-    return np.fft.ifft(spec, axis=-1) * (n_pad / (SQRT_TWO_PI * lattice.lam))
-
-
-def _to_spectral(phys: np.ndarray, lattice: FrequencyLattice, n_pad: int) -> np.ndarray:
-    J = lattice.half_modes
-    X = np.fft.fft(phys, axis=-1) * (SQRT_TWO_PI * lattice.lam / n_pad)
-    return np.concatenate([X[..., n_pad - J:], X[..., : J + 1]], axis=-1)
+    A product of two fields on |j| <= J spans |j| <= 2J; one of its aliases
+    lands on a kept mode |j| <= J only if the grid has at most 3J points, so
+    3J + 1 points give the kept modes exactly.
+    """
+    return 1 << (3 * J).bit_length()
 
 
 def nonlinearity_rows(
     rows: np.ndarray,
     lattice: FrequencyLattice,
     lam: float,
-    dealias: float = 2.0,
     include_linear: bool = True,
     include_quadratic: bool = True,
-    chunk: int = 256,
 ) -> np.ndarray:
     """Vectorized right-hand side over stacked spectra (rows x modes)."""
     rows = np.atleast_2d(rows)
@@ -129,12 +115,12 @@ def nonlinearity_rows(
         out += (rows - np.conj(rows[:, ::-1])) / (2.0 * lam * lam)
     if include_quadratic:
         m = omega_multiplier(lattice, lam)
-        n_pad = _pad_size(lattice.modes, dealias)
-        for lo in range(0, rows.shape[0], chunk):
-            sl = slice(lo, min(lo + chunk, rows.shape[0]))
+        n_pad = _pad_size(lattice.half_modes)
+        for lo in range(0, rows.shape[0], _ROW_CHUNK):
+            sl = slice(lo, min(lo + _ROW_CHUNK, rows.shape[0]))
             w = rows[sl] + np.conj(rows[sl, ::-1])  # spectrum of u + conj(u)
-            phys = _to_physical(w, lattice, n_pad)
-            sq = _to_spectral(phys * phys, lattice, n_pad)
+            phys = inverse_rows(w, lattice, n_pad)
+            sq = forward_transform(phys * phys, lattice)
             out[sl] -= 0.25 * m[None, :] * sq
     return out
 
@@ -142,7 +128,6 @@ def nonlinearity_rows(
 def nonlinearity(
     u: SpectralField,
     lam: float,
-    dealias: float = 2.0,
     include_linear: bool = True,
     include_quadratic: bool = True,
 ) -> SpectralField:
@@ -150,7 +135,8 @@ def nonlinearity(
     if u.lattice.lam != lam:
         raise LatticeError("lam does not match the field's lattice")
     rows = nonlinearity_rows(
-        u.coeff[None, :], u.lattice, lam, dealias, include_linear, include_quadratic
+        u.coeff[None, :], u.lattice, lam,
+        include_linear=include_linear, include_quadratic=include_quadratic,
     )
     return SpectralField(u.lattice, rows[0])
 
@@ -214,25 +200,28 @@ def _cumulative_simpson(G: np.ndarray, h: float) -> np.ndarray:
     return I
 
 
+def _prefix_integrals(G: np.ndarray, i0: int, h: float) -> np.ndarray:
+    """Signed integrals int_{t_i0}^{t_m} G dt for every row m of G."""
+    out = np.zeros_like(G)
+    out[i0:] = _cumulative_simpson(G[i0:], h)
+    if i0 > 0:
+        out[:i0] = -_cumulative_simpson(G[i0::-1], h)[:0:-1]
+    return out
+
+
 def duhamel_all(F: Trajectory) -> np.ndarray:
     """integral_0^{t_m} e^{i(t_m - t') dxx} F(t') dt' for every grid time."""
-    i0 = F.index_of_time(0.0)
     k2 = F.lattice.k ** 2
     phases = np.exp(1j * np.outer(F.t, k2))
-    G = F.coeff * phases
-    out = np.zeros_like(G)
-    fwd = _cumulative_simpson(G[i0:], F.dt)
-    out[i0:] = fwd
-    if i0 > 0:
-        bwd = _cumulative_simpson(G[i0::-1], F.dt)
-        out[:i0] = -bwd[:0:-1]
+    out = _prefix_integrals(F.coeff * phases, F.index_of_time(0.0), F.dt)
     return np.conj(phases) * out
 
 
 def integral_residual(traj: Trajectory, u0: SpectralField, cfg: SolverConfig) -> float:
     """Sup-in-time H^s defect of the discrete integral equation."""
     F_rows = nonlinearity_rows(
-        traj.coeff, traj.lattice, cfg.lam, cfg.dealias, cfg.include_linear, cfg.include_quadratic
+        traj.coeff, traj.lattice, cfg.lam,
+        include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
     )
     duh = duhamel_all(Trajectory(traj.lattice, traj.t, F_rows))
     free = free_trajectory(u0, traj.t).coeff
@@ -261,7 +250,7 @@ class PicardResult:
 def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     """Fixed-point iteration u -> free(u0) - i Duhamel(F(u)) on the grid of cfg.
 
-    Raises PicardDivergenceError after cfg.divergence_patience consecutive
+    Raises PicardDivergenceError after _DIVERGENCE_PATIENCE consecutive
     non-contracting steps; large data is expected to do this.
 
     Memory discipline: on big grids the loop holds one persistent phase array
@@ -279,14 +268,6 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     def sup_hs(rows):
         return float(np.sqrt(np.sum(w_s[None, :] * np.abs(rows) ** 2, axis=1) / cfg.lam).max())
 
-    def prefix_integrals(G):
-        out = np.zeros_like(G)
-        out[i0:] = _cumulative_simpson(G[i0:], cfg.dt)
-        if i0 > 0:
-            bwd = _cumulative_simpson(G[i0::-1], cfg.dt)
-            out[:i0] = -bwd[:0:-1]
-        return out
-
     current = np.conj(phases) * u0.coeff[None, :]
     scale = max(sup_hs(current), 1e-300)
     iterates = []
@@ -296,10 +277,11 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     converged = False
     for _ in range(cfg.max_picard):
         G = nonlinearity_rows(
-            current, lattice, cfg.lam, cfg.dealias, cfg.include_linear, cfg.include_quadratic
+            current, lattice, cfg.lam,
+            include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
         )
         G *= phases  # interaction picture
-        new = prefix_integrals(G)
+        new = _prefix_integrals(G, i0, cfg.dt)
         del G
         new *= -1j
         new += u0.coeff[None, :]
@@ -313,7 +295,7 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
             r = diffs[-1] / diffs[-2]
             ratios.append(r)
             bad_streak = bad_streak + 1 if r >= 1.0 else 0
-            if bad_streak >= cfg.divergence_patience:
+            if bad_streak >= _DIVERGENCE_PATIENCE:
                 raise PicardDivergenceError(ratios)
         if len(iterates) < 2:
             iterates.append(Trajectory(lattice, t, new.copy()))
@@ -355,7 +337,8 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig, local_error_cap: float
         # v is the interaction-picture variable e^{-it dxx} u
         u = v * np.exp(-1j * k2 * time)
         F = nonlinearity_rows(
-            u[None, :], lattice, cfg.lam, cfg.dealias, cfg.include_linear, cfg.include_quadratic
+            u[None, :], lattice, cfg.lam,
+            include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
         )[0]
         return -1j * F * np.exp(1j * k2 * time)
 
@@ -448,11 +431,7 @@ def _a2_quadrature(phi: SpectralField, t0: float, lam: float, chunk: int = 512) 
     k = lattice.k
     k2 = k * k
     m = omega_multiplier(lattice, lam)
-    # |u|^2 spans |j| <= 2J; an alias of it lands on the kept modes |j| <= J
-    # only if n_pad <= 3J, so 3J + 1 points resolve them exactly.
-    n_pad = 1
-    while n_pad < 3 * J + 1:
-        n_pad *= 2
+    n_pad = _pad_size(J)
     c = phi.coeff
     # the steps are uniform, so a chunk's phases are one block of in-chunk
     # phases times the phase of its first time; k^2 is even in j, so the

@@ -13,6 +13,7 @@ from gblab.lattice import (
     dump_spectrum,
     field_from_modes,
     forward_transform,
+    inverse_rows,
     inverse_transform,
     load_field,
     load_spectrum,
@@ -104,6 +105,19 @@ class TestForwardTransform:
         lat = make_lattice(1.0, 8.0)
         with pytest.raises(LatticeError):
             forward_transform(np.ones(5), lat)
+
+    def test_stacked_rows_match_single_fields(self, rng):
+        lat = make_lattice(2.0, 3.0)
+        fields = [random_field(lat, rng) for _ in range(3)]
+        rows = np.stack([f.coeff for f in fields])
+        phys = inverse_rows(rows, lat, 32)
+        for f, samples in zip(fields, phys):
+            assert np.array_equal(samples, inverse_transform(f, 32))
+        back = forward_transform(phys, lat)
+        assert back.shape == rows.shape
+        assert np.abs(back - rows).max() < 1e-12 * np.abs(rows).max()
+        with pytest.raises(LatticeError):
+            inverse_rows(rows, lat, lat.modes - 1)
 
 
 def test_lattice_refinement_consistency():

@@ -112,12 +112,16 @@ class TestNonlinearity:
         assert out.coeff[lat.index_of(0.0)] == pytest.approx(expected, abs=1e-14)
         assert np.abs(np.delete(out.coeff, lat.index_of(0.0))).max() < 1e-14
 
-    def test_against_brute_force_convolution(self, rng):
-        lat = make_lattice(2.0, 3.0)
+    # J = 6, then J = 5 and J = 21, where 3J + 1 is a power of two and the
+    # padded grid has no point to spare
+    @pytest.mark.parametrize("lam, K", [(2.0, 3.0), (1.0, 5.0), (1.0, 21.0)],
+                             ids=["J6", "J5", "J21"])
+    def test_against_brute_force_convolution(self, rng, lam, K):
+        lat = make_lattice(lam, K)
         u = random_field(lat, rng)
         w = u.coeff + np.conj(u.coeff[::-1])
         oracle = -0.25 * omega_multiplier(lat) * brute_force_product_spectrum(w, w, lat)
-        got = nonlinearity(u, 2.0, include_linear=False)
+        got = nonlinearity(u, lam, include_linear=False)
         assert np.abs(got.coeff - oracle).max() < 1e-12 * max(1.0, np.abs(oracle).max())
 
     def test_two_mode_input_brute_force(self):
