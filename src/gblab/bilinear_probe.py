@@ -11,7 +11,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .lattice import (
     LatticeError,
@@ -19,6 +18,7 @@ from .lattice import (
     inverse_rows,
     make_lattice,
     make_tau_grid,
+    pad_size,
 )
 from .norms import ws_norm, xsb_norm
 from .reduction import omega_multiplier
@@ -33,19 +33,11 @@ MUCH = 4.0  # ratio implementing "much smaller/larger"
 _SPARSE_LIMIT = 64
 
 
-def _populated(coeff: np.ndarray):
+def _populated(coeff: np.ndarray) -> np.ndarray:
     scale = float(np.abs(coeff).max())
     if scale == 0.0:
-        return np.empty((0, 2), dtype=np.int64), 0.0
-    idx = np.argwhere(np.abs(coeff) > 1e-15 * scale)
-    return idx, scale
-
-
-def _center_slice(full: np.ndarray, n_tau: int, modes: int) -> np.ndarray:
-    half_t = (n_tau - 1) // 2
-    half_k = (modes - 1) // 2
-    c_t, c_k = n_tau - 1, modes - 1
-    return full[c_t - half_t : c_t + half_t + 1, c_k - half_k : c_k + half_k + 1]
+        return np.empty((0, 2), dtype=np.int64)
+    return np.argwhere(np.abs(coeff) > 1e-15 * scale)
 
 
 def _sparse_convolve(sparse: np.ndarray, dense: np.ndarray, idx) -> np.ndarray:
@@ -74,15 +66,21 @@ def _sparse_convolve(sparse: np.ndarray, dense: np.ndarray, idx) -> np.ndarray:
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain 2-d convolution, truncated back to the common centered grid."""
-    idx_a, _ = _populated(a)
-    idx_b, _ = _populated(b)
+    idx_a = _populated(a)
+    idx_b = _populated(b)
     n_tau, modes = a.shape
     if min(idx_a.shape[0], idx_b.shape[0]) <= _SPARSE_LIMIT:
         if idx_a.shape[0] <= idx_b.shape[0]:
             return _sparse_convolve(a, b, idx_a)
         return _sparse_convolve(b, a, idx_b)
-    full = fftconvolve(a, b, mode="full")
-    return _center_slice(full, n_tau, modes)
+    # the linear product sits on slots [0, 4h] per axis and the kept block on
+    # [h, 3h]; on pad_size(h) >= 3h + 1 slots no alias reaches the kept block
+    h_t, h_k = (n_tau - 1) // 2, (modes - 1) // 2
+    shape = (pad_size(h_t), pad_size(h_k))
+    spec = np.fft.fft2(a, shape) * np.fft.fft2(b, shape)
+    # invert along tau first, so the k transforms run on the kept rows only
+    rows = np.fft.ifft(spec, axis=0)[h_t : h_t + n_tau]
+    return np.fft.ifft(rows, axis=1)[:, h_k : h_k + modes]
 
 
 def bilinear_image(
@@ -405,12 +403,14 @@ def slope_sweep(
     }
 
 
-def physical_samples(u: SpacetimeSpectrum, oversample: int = 4):
+def physical_samples(u: SpacetimeSpectrum):
     """Physical-space samples on the dual (t, x) grid, t covering one period
-    2*pi/dtau; the factor-4 oversampling makes |u|^4 quadrature alias-free."""
+    2*pi/dtau; twice the grid per axis makes |u|^4 quadrature alias-free."""
     n_tau, modes = u.coeff.shape
-    n_t = oversample * n_tau
-    n_x = oversample * modes
+    # |u|^4 spans +-4h per axis (n = 2h + 1), so its mean over 2n = 4h + 2
+    # points keeps only the zero mode: the L4 sum is exact
+    n_t = 2 * n_tau
+    n_x = 2 * modes
     half_t = (n_tau - 1) // 2
     # k -> x per tau row, then the tau rows on the padded FFT grid
     rows = inverse_rows(u.coeff, u.lattice, n_x)

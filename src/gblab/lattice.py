@@ -135,6 +135,16 @@ def forward_transform(samples: np.ndarray, lattice: FrequencyLattice) -> Spectra
     return coeff
 
 
+def pad_size(J: int) -> int:
+    """Smallest power of two >= 3J + 1.
+
+    A product of two fields on |j| <= J spans |j| <= 2J; one of its aliases
+    lands on a kept mode |j| <= J only if the grid has at most 3J points, so
+    3J + 1 points give the kept modes exactly.
+    """
+    return 1 << (3 * J).bit_length()
+
+
 def inverse_rows(rows: np.ndarray, lattice: FrequencyLattice, n: int) -> np.ndarray:
     """Physical samples of stacked spectra (..., modes) on the uniform n-point
     grid of [0, 2*pi*lam); the inverse of forward_transform for n >= modes."""

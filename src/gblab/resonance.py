@@ -398,6 +398,17 @@ def _linear_values(case: CountingCase, taus: np.ndarray, k: float) -> np.ndarray
     return w * (total - gated) / lam
 
 
+# One _batched_values call holds 0.3-0.6 MiB of temporaries at 5000 taus
+# (2.2 MiB at 20000).  glibc gives a free heap top above its trim threshold
+# back to the kernel, and that threshold stays at 128 KiB until the process
+# first frees a block it had to mmap, so in a process that had not done so
+# every call faulted its temporaries back in (7-9 thousand minor faults per
+# counting suite, slower and load-dependent).  Freeing one 4 MiB block, which
+# is mmapped, raises the trim threshold to 8 MiB for the process; other
+# allocators just allocate and free it.  The block is never written.
+np.empty(4 << 20, dtype=np.uint8)
+
+
 @dataclass(frozen=True)
 class SweepResult:
     case: CountingCase

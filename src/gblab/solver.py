@@ -18,6 +18,7 @@ from .lattice import (
     Trajectory,
     forward_transform,
     inverse_rows,
+    pad_size,
 )
 from .reduction import omega_multiplier
 
@@ -90,16 +91,6 @@ def free_trajectory(u0: SpectralField, t: np.ndarray) -> Trajectory:
     return Trajectory(u0.lattice, np.asarray(t, dtype=np.float64), coeff)
 
 
-def _pad_size(J: int) -> int:
-    """Smallest power of two >= 3J + 1.
-
-    A product of two fields on |j| <= J spans |j| <= 2J; one of its aliases
-    lands on a kept mode |j| <= J only if the grid has at most 3J points, so
-    3J + 1 points give the kept modes exactly.
-    """
-    return 1 << (3 * J).bit_length()
-
-
 def nonlinearity_rows(
     rows: np.ndarray,
     lattice: FrequencyLattice,
@@ -115,7 +106,7 @@ def nonlinearity_rows(
         out += (rows - np.conj(rows[:, ::-1])) / (2.0 * lam * lam)
     if include_quadratic:
         m = omega_multiplier(lattice, lam)
-        n_pad = _pad_size(lattice.half_modes)
+        n_pad = pad_size(lattice.half_modes)
         for lo in range(0, rows.shape[0], _ROW_CHUNK):
             sl = slice(lo, min(lo + _ROW_CHUNK, rows.shape[0]))
             w = rows[sl] + np.conj(rows[sl, ::-1])  # spectrum of u + conj(u)
@@ -431,7 +422,7 @@ def _a2_quadrature(phi: SpectralField, t0: float, lam: float, chunk: int = 512) 
     k = lattice.k
     k2 = k * k
     m = omega_multiplier(lattice, lam)
-    n_pad = _pad_size(J)
+    n_pad = pad_size(J)
     c = phi.coeff
     # the steps are uniform, so a chunk's phases are one block of in-chunk
     # phases times the phase of its first time; k^2 is even in j, so the

@@ -70,6 +70,12 @@ def brute_force_image(u, v, kind):
     return out * m[None, :] / mod
 
 
+# (id suffix, K, tau_max) at lam = 1 and dtau = 1: 9x7 = 63 cells is within the
+# sparse limit (64); the larger grids take the padded FFT product, 11x11 pads
+# each axis to exactly 3h + 1 = 16 (a pad of 3h aliases), 9x13 to 16 and 32
+_ORACLE_GRIDS = [("", 3.0, 3.5), ("-11x11-tight", 5.0, 5.0), ("-9x13", 6.0, 4.0)]
+
+
 class TestBilinearImage:
     def test_zero_inputs(self, rng):
         lat = make_lattice(1.0, 2.0)
@@ -100,10 +106,17 @@ class TestBilinearImage:
         assert img.coeff[it, jk] == pytest.approx(expected, rel=1e-12)
         assert np.abs(img.coeff[~mask]).max() == 0.0
 
-    @pytest.mark.parametrize("kind", ["u v", "u vbar", "ubar vbar"])
-    def test_matches_brute_force_oracle(self, kind, rng):
-        lat = make_lattice(1.0, 3.0)  # 7 modes
-        tau = make_tau_grid(3.5, 1.0)  # 8x7 cells
+    @pytest.mark.parametrize(
+        "kind, K, tau_max",
+        [
+            pytest.param(kind, K, tau_max, id=kind + suffix)
+            for kind in ("u v", "u vbar", "ubar vbar")
+            for suffix, K, tau_max in _ORACLE_GRIDS
+        ],
+    )
+    def test_matches_brute_force_oracle(self, kind, K, tau_max, rng):
+        lat = make_lattice(1.0, K)
+        tau = make_tau_grid(tau_max, 1.0)
         u = random_spectrum(lat, tau, rng)
         v = random_spectrum(lat, tau, rng)
         got = bilinear_image(u, v, kind)

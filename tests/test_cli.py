@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gblab.cli import main
+from gblab import cli
+from gblab.cli import _kendall_tau_b, main
 from gblab.lattice import dump_spectrum, field_from_modes, make_lattice
 
 
@@ -107,6 +111,70 @@ class TestVerify:
         out = tmp_path / "o"
         rc = run(["verify", "--suite", "l4", "--config", str(cfg), "--out-dir", str(out)])
         assert rc == 0
+
+    def test_duality_check_catches_a_faulty_sweep_evaluator(self, tmp_path, monkeypatch):
+        evaluator = cli._batched_values
+
+        def perturbed(case, taus, k):
+            return evaluator(case, taus, k) * (1.0 + 1e-9)
+
+        monkeypatch.setattr(cli, "_batched_values", perturbed)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[counting]\nlambdas = 1,2\nm_cap = 2\nn_random = 500\n")
+        out = tmp_path / "o"
+        rc = run(["verify", "--suite", "counting", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert not manifest["checks"]["counting_duality_exact"]["passed"]
+
+
+class TestKendallTauB:
+    def test_matches_scipy_with_ties_in_both_variables(self):
+        from scipy.stats import kendalltau
+
+        rng = np.random.default_rng(4)
+        for n in (2, 7, 128, 600):
+            x = rng.integers(0, 5, size=n).astype(float)
+            y = np.round(rng.standard_normal(n) + 0.1 * x, 1)
+            want = kendalltau(x, y).statistic
+            assert abs(_kendall_tau_b(x, y) - want) <= 1e-15
+
+    def test_constant_input_is_nan(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        assert math.isnan(_kendall_tau_b(x, np.full(4, 2.5)))
+        assert math.isnan(_kendall_tau_b(np.zeros(4), x))
+
+
+def test_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(
+        "[counting]\nlambdas = 1,2\nm_cap = 2\nn_random = 500\n[l4]\nlambdas = 1\nn_fields = 4\n"
+    )
+    # scipy is blocked before gblab is imported, so any scipy import fails
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from gblab.bilinear_probe import _SPARSE_LIMIT, bilinear_image
+from gblab.cli import main
+from gblab.lattice import SpacetimeSpectrum, make_lattice, make_tau_grid
+
+argv = ["verify", "--suite", "counting", "--suite", "l4", "--config", {str(cfg)!r},
+        "--out-dir", {str(tmp_path / "o")!r}]
+assert main(argv) == 0
+lat = make_lattice(1.0, 5.0)
+tau = make_tau_grid(5.0, 1.0)
+assert tau.size * lat.modes > _SPARSE_LIMIT
+u = SpacetimeSpectrum(lat, tau, np.ones((tau.size, lat.modes), dtype=complex))
+assert np.isfinite(bilinear_image(u, u, "u vbar").coeff).all()
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestInflate:

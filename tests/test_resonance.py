@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,3 +477,31 @@ class TestBatchedValues:
         for a, b in zip(fast, slow):
             assert a.n_samples == b.n_samples
             assert a.sup_value == pytest.approx(b.sup_value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc heap trimming")
+def test_repeated_sweeps_keep_their_heap():
+    """A fresh process that only imports gblab must not hand the sweep's
+    temporaries back to the kernel after each call and fault them in again."""
+    script = """
+import resource
+import numpy as np
+from gblab.resonance import CountingCase, SweepSampler, _batched_values
+
+case = CountingCase("RB2", "complement", 2.0, 2.0, 1.0)
+taus = SweepSampler(n_random=5000).taus(case, 1.0, np.random.default_rng(0))
+_batched_values(case, taus, 1.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    _batched_values(case, taus, 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # about 100 faults per call when every call's temporaries are trimmed
+    assert int(proc.stdout) < 200
