@@ -225,7 +225,6 @@ def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int | None) ->
         s=sec.getfloat("s"),
         T=sec.getfloat("t"),
         dt=sec.getfloat("dt"),
-        K=K,
         max_picard=sec.getint("max_picard"),
         contraction_tol=sec.getfloat("contraction_tol"),
     )

@@ -106,7 +106,8 @@ def scan_cond_n(
     oscillatory factor is nearly maximal and flat across the list.
 
     avoid_band=(lo, hi) snaps targets out of a frequency band (used to dodge
-    the most expensive time resolutions without changing the experiment).
+    the most expensive time resolutions without changing the experiment); a
+    target at the band's top edge takes the nearest admissible N above it.
     """
     j_lo = max(1, int(math.ceil(factor * lam / (2.0 * t0) * lam)))
     j_hi = int(math.floor((k_cap - 2.0 / lam) * lam))
@@ -134,7 +135,10 @@ def scan_cond_n(
     chosen: list = []
     arr = np.asarray(passing)
     for t, raw in zip(targets, raw_targets):
-        for attempt in (t, raw):
+        attempts = (t, raw)
+        if avoid_band is not None and t == b_hi and arr[-1] > b_hi:
+            attempts = (float(arr[arr > b_hi][0]),) + attempts
+        for attempt in attempts:
             N = float(arr[int(np.argmin(np.abs(arr - attempt)))])
             if N not in chosen:
                 chosen.append(N)
@@ -281,7 +285,6 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
             s=cfg.s,
             T=cfg.t0,
             dt=dt,
-            K=lattice.K,
             max_picard=cfg.max_picard,
             contraction_tol=cfg.contraction_tol,
             include_linear=cfg.include_linear,

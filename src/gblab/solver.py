@@ -25,6 +25,8 @@ from .reduction import omega_multiplier
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _ROW_CHUNK = 256  # rows per padded transform in nonlinearity_rows
 _DIVERGENCE_PATIENCE = 3  # consecutive non-contracting Picard steps tolerated
+_LOCAL_ERROR_CAP = 1e-8  # reference_solve's step-doubling budget, relative to max |v|
+_A2_RTOL = 1e-8  # relative l2 agreement required of a2_iterate's two paths
 
 
 class PicardDivergenceError(RuntimeError):
@@ -59,7 +61,6 @@ class SolverConfig:
     s: float
     T: float = 1.0
     dt: float = 1e-2
-    K: float = 64.0
     max_picard: int = 40
     contraction_tol: float = 1e-10
     t_min: float = 0.0
@@ -70,8 +71,9 @@ class SolverConfig:
         n = (self.T - self.t_min) / self.dt
         if abs(n - round(n)) > 1e-9:
             raise ValueError("dt must divide the solve interval")
-        if not (self.t_min <= 0.0 <= self.T):
-            raise ValueError("the solve interval must contain t = 0")
+        n0 = -self.t_min / self.dt
+        if not (self.t_min <= 0.0 <= self.T) or abs(n0 - round(n0)) > 1e-9:
+            raise ValueError("t = 0 must be a point of the time grid")
 
 
 def time_grid(cfg: SolverConfig) -> np.ndarray:
@@ -152,19 +154,18 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     return w
 
 
+def _phases(t: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
+    """e^{+i k^2 t} per grid time (rows) and mode: the interaction picture."""
+    return np.exp(1j * np.outer(t, lattice.k ** 2))
+
+
 def duhamel(F: Trajectory, t: float) -> SpectralField:
     """integral_0^t of e^{i(t-t') dxx} F(t') dt', evaluated in the interaction
     picture so the quadrature never sees the stiff k^2 phases directly."""
-    i0 = F.index_of_time(0.0)
     i1 = F.index_of_time(t)
-    lo, hi = min(i0, i1), max(i0, i1)
-    sign = 1.0 if i1 >= i0 else -1.0
-    k2 = F.lattice.k ** 2
-    ts = F.t[lo : hi + 1]
-    rows = F.coeff[lo : hi + 1] * np.exp(1j * np.outer(ts, k2))
-    w = simpson_weights(ts.size, F.dt)
-    integral = sign * (w @ rows)
-    return SpectralField(F.lattice, np.exp(-1j * k2 * t) * integral)
+    phases = _phases(F.t, F.lattice)
+    rows = _prefix_integrals(F.coeff * phases, F.index_of_time(0.0), F.dt)
+    return SpectralField(F.lattice, np.conj(phases[i1]) * rows[i1])
 
 
 def _cumulative_simpson(G: np.ndarray, h: float) -> np.ndarray:
@@ -181,13 +182,15 @@ def _cumulative_simpson(G: np.ndarray, h: float) -> np.ndarray:
         I[1] = 0.5 * h * (G[0] + G[1])
         return I
     pair = (h / 3.0) * (G[:-2:2] + 4.0 * G[1:-1:2] + G[2::2])
-    even = np.cumsum(pair, axis=0)
-    I[2::2] = even
-    # last interval through the quadratic on (m-2, m-1, m)
-    start = I[0:-1:2][: G[1::2].shape[0]]
-    I[1::2] = start + (h / 12.0) * (
-        -G[2::2][: G[1::2].shape[0]] + 8.0 * G[1::2] + 5.0 * G[0:-1:2][: G[1::2].shape[0]]
+    I[2::2] = np.cumsum(pair, axis=0)
+    # odd m: the interval (m-1, m) through the quadratic on (m-1, m, m+1) ...
+    p = 2 * ((n - 1) // 2)
+    I[1:p:2] = I[0 : p - 1 : 2] + (h / 12.0) * (
+        -G[2::2] + 8.0 * G[1:p:2] + 5.0 * G[0 : p - 1 : 2]
     )
+    if n % 2 == 0:
+        # ... or, on the last row, through the quadratic on (m-2, m-1, m)
+        I[-1] = I[-2] + (h / 12.0) * (-G[-3] + 8.0 * G[-2] + 5.0 * G[-1])
     return I
 
 
@@ -200,26 +203,34 @@ def _prefix_integrals(G: np.ndarray, i0: int, h: float) -> np.ndarray:
     return out
 
 
-def duhamel_all(F: Trajectory) -> np.ndarray:
-    """integral_0^{t_m} e^{i(t_m - t') dxx} F(t') dt' for every grid time."""
-    k2 = F.lattice.k ** 2
-    phases = np.exp(1j * np.outer(F.t, k2))
-    out = _prefix_integrals(F.coeff * phases, F.index_of_time(0.0), F.dt)
-    return np.conj(phases) * out
+def _picard_map(
+    rows: np.ndarray, u0: SpectralField, phases: np.ndarray, i0: int, cfg: SolverConfig
+) -> np.ndarray:
+    """Phi(u) = S(t) u0 - i int_0^t S(t - t') F(u(t')) dt' on every grid row;
+    phases are e^{+i k^2 t} on the grid and row i0 is t = 0."""
+    out = nonlinearity_rows(
+        rows, u0.lattice, cfg.lam,
+        include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
+    )
+    out *= phases  # interaction picture
+    out = _prefix_integrals(out, i0, cfg.dt)
+    out *= -1j
+    out += u0.coeff[None, :]
+    out *= np.conj(phases)  # back from the interaction picture
+    return out
+
+
+def _sup_hs(rows: np.ndarray, lattice: FrequencyLattice, cfg: SolverConfig) -> float:
+    """Largest H^s norm over the rows of a trajectory."""
+    w = (1.0 + lattice.k ** 2) ** cfg.s
+    return float(np.sqrt(np.sum(w[None, :] * np.abs(rows) ** 2, axis=1) / cfg.lam).max())
 
 
 def integral_residual(traj: Trajectory, u0: SpectralField, cfg: SolverConfig) -> float:
-    """Sup-in-time H^s defect of the discrete integral equation."""
-    F_rows = nonlinearity_rows(
-        traj.coeff, traj.lattice, cfg.lam,
-        include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
-    )
-    duh = duhamel_all(Trajectory(traj.lattice, traj.t, F_rows))
-    free = free_trajectory(u0, traj.t).coeff
-    defect = traj.coeff - (free - 1j * duh)
-    w = (1.0 + traj.lattice.k ** 2) ** cfg.s
-    norms = np.sqrt(np.sum(w[None, :] * np.abs(defect) ** 2, axis=1) / cfg.lam)
-    return float(norms.max())
+    """Sup-in-time H^s norm of u - Phi(u), with the Picard iteration's own Phi."""
+    phases = _phases(traj.t, traj.lattice)
+    defect = traj.coeff - _picard_map(traj.coeff, u0, phases, traj.index_of_time(0.0), cfg)
+    return _sup_hs(defect, traj.lattice, cfg)
 
 
 @dataclass(frozen=True)
@@ -252,33 +263,18 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     t = time_grid(cfg)
     lattice = u0.lattice
     i0 = int(np.argmin(np.abs(t)))
-    k2 = lattice.k ** 2
-    phases = np.exp(1j * np.outer(t, k2))  # e^{+i k^2 t}, held across iterations
-    w_s = (1.0 + k2) ** cfg.s
-
-    def sup_hs(rows):
-        return float(np.sqrt(np.sum(w_s[None, :] * np.abs(rows) ** 2, axis=1) / cfg.lam).max())
-
+    phases = _phases(t, lattice)  # held across iterations
     current = np.conj(phases) * u0.coeff[None, :]
-    scale = max(sup_hs(current), 1e-300)
+    scale = max(_sup_hs(current, lattice, cfg), 1e-300)
     iterates = []
     ratios: list = []
     diffs: list = []
     bad_streak = 0
     converged = False
     for _ in range(cfg.max_picard):
-        G = nonlinearity_rows(
-            current, lattice, cfg.lam,
-            include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
-        )
-        G *= phases  # interaction picture
-        new = _prefix_integrals(G, i0, cfg.dt)
-        del G
-        new *= -1j
-        new += u0.coeff[None, :]
-        new *= np.conj(phases)  # back from the interaction picture
+        new = _picard_map(current, u0, phases, i0, cfg)
         current -= new
-        d = sup_hs(current)
+        d = _sup_hs(current, lattice, cfg)
         diffs.append(d)
         if not np.isfinite(d):
             raise PicardDivergenceError(ratios + [float("inf")])
@@ -311,12 +307,13 @@ class StepSizeRejection(RuntimeError):
     """Reference integrator's local error estimate exceeded its budget."""
 
 
-def reference_solve(u0: SpectralField, cfg: SolverConfig, local_error_cap: float = 1e-8) -> Trajectory:
+def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Classical RK4 in the interaction picture (an exponential integrator:
     the stiff phases are handled exactly, the remainder is smooth).
 
-    Every step is checked by step doubling; a local estimate above the cap
-    raises StepSizeRejection rather than returning polluted output.
+    Every step is checked by step doubling; a local estimate above
+    _LOCAL_ERROR_CAP raises StepSizeRejection rather than returning polluted
+    output.  The full step and the first half step share their first stage.
     """
     if u0.lattice.lam < cfg.lam:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
@@ -326,15 +323,14 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig, local_error_cap: float
 
     def rhs(time, v):
         # v is the interaction-picture variable e^{-it dxx} u
-        u = v * np.exp(-1j * k2 * time)
+        e = np.exp(-1j * k2 * time)
         F = nonlinearity_rows(
-            u[None, :], lattice, cfg.lam,
+            (v * e)[None, :], lattice, cfg.lam,
             include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
         )[0]
-        return -1j * F * np.exp(1j * k2 * time)
+        return -1j * F * np.conj(e)
 
-    def rk4_step(time, v, h):
-        k1 = rhs(time, v)
+    def rk4_step(time, v, h, k1):
         k2_ = rhs(time + 0.5 * h, v + 0.5 * h * k1)
         k3 = rhs(time + 0.5 * h, v + 0.5 * h * k2_)
         k4 = rhs(time + h, v + h * k3)
@@ -348,10 +344,12 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig, local_error_cap: float
         for i in idx:
             j = i + direction
             h = t[j] - t[i]
-            full = rk4_step(t[i], v, h)
-            half = rk4_step(t[i] + 0.5 * h, rk4_step(t[i], v, 0.5 * h), 0.5 * h)
+            f0 = rhs(t[i], v)
+            full = rk4_step(t[i], v, h, f0)
+            mid = rk4_step(t[i], v, 0.5 * h, f0)
+            half = rk4_step(t[i] + 0.5 * h, mid, 0.5 * h, rhs(t[i] + 0.5 * h, mid))
             err = float(np.abs(full - half).max())
-            if err > local_error_cap * max(1.0, float(np.abs(v).max())):
+            if err > _LOCAL_ERROR_CAP * max(1.0, float(np.abs(v).max())):
                 raise StepSizeRejection(
                     f"local error {err:.3e} at t={t[i]:.6g}; reduce dt"
                 )
@@ -368,25 +366,25 @@ def phase_integral(theta: np.ndarray, t0: float) -> np.ndarray:
 
 
 def _a2_closed_form(phi: SpectralField, t0: float, lam: float) -> np.ndarray:
-    """Per-mode closed form of the second iterate of u*conj(u) forcing."""
+    """Closed form of the second iterate of u*conj(u) forcing, summed over the
+    pairs (a, b) of populated modes: c_a conj(c_b) feeds the output k = k_a - k_b
+    with the phase integral of 2k(k - k_a); outputs beyond |k| <= K drop out.
+
+    Temporaries scale with the number of populated modes squared: the
+    inflation profiles populate 2 or 4 modes, a dense field of n modes n^2.
+    """
     lattice = phi.lattice
-    J = lattice.half_modes
     k = lattice.k
-    m = omega_multiplier(lattice, lam)
     c = phi.coeff
+    nz = np.flatnonzero(c)
+    a, b = (x.ravel() for x in np.meshgrid(nz, nz, indexing="ij"))
+    out_idx = a - b + lattice.half_modes
+    keep = (out_idx >= 0) & (out_idx < lattice.modes)
+    a, b, out_idx = a[keep], b[keep], out_idx[keep]
+    theta = 2.0 * k[out_idx] * (k[out_idx] - k[a])
     out = np.zeros(lattice.modes, dtype=np.complex128)
-    for idx in range(lattice.modes):
-        j = idx - J
-        # pairs (k1, k1 - k) both on the lattice
-        lo = max(-J, -J + j)
-        hi = min(J, J + j)
-        if lo > hi:
-            continue
-        k1 = np.arange(lo, hi + 1) / lattice.lam
-        a = c[lo + J : hi + J + 1]
-        b = np.conj(c[lo - j + J : hi - j + J + 1])
-        theta = 2.0 * k[idx] * (k[idx] - k1)
-        out[idx] = np.sum(a * b * phase_integral(theta, t0))
+    np.add.at(out, out_idx, c[a] * np.conj(c[b]) * phase_integral(theta, t0))
+    m = omega_multiplier(lattice, lam)
     out *= 0.5j * m * np.exp(-1j * k * k * t0) / (lattice.lam * SQRT_TWO_PI)
     return out
 
@@ -448,13 +446,11 @@ def _a2_quadrature(phi: SpectralField, t0: float, lam: float, chunk: int = 512) 
     return 0.5j * m * np.exp(-1j * k2 * t0) * sign * acc
 
 
-def a2_iterate(
-    phi: SpectralField, t0: float, lam: float, rtol: float = 1e-8
-) -> SpectralField:
+def a2_iterate(phi: SpectralField, t0: float, lam: float) -> SpectralField:
     """Second Picard iterate of the u*conj(u) channel at time t0.
 
     Evaluated through two independent routes (closed-form phase sums and
-    trajectory quadrature) which must agree to rtol in relative l2.
+    trajectory quadrature) which must agree to _A2_RTOL in relative l2.
     """
     if phi.lattice.lam < lam:
         raise LatticeError("the field's lattice must be at least lam-fine")
@@ -465,8 +461,8 @@ def a2_iterate(
     scale = float(np.linalg.norm(closed))
     if scale > 0:
         rel = float(np.linalg.norm(closed - quad)) / scale
-        if rel > rtol:
+        if rel > _A2_RTOL:
             raise InternalConsistencyError(
-                f"second-iterate paths disagree: rel l2 error {rel:.3e} > {rtol:.1e}"
+                f"second-iterate paths disagree: rel l2 error {rel:.3e} > {_A2_RTOL:.1e}"
             )
     return SpectralField(phi.lattice, closed)

@@ -36,6 +36,7 @@ from gblab.reduction import (
 from gblab.resonance import (
     CountingCase,
     SweepSampler,
+    _batched_values,
     cell_measure,
     dual_case,
     sup_sweep,
@@ -231,7 +232,8 @@ def test_criterion_6_counting_estimates(counting_results):
     spread = float(ratios.max() / np.median(ratios))
     tau_m = float(kendalltau(mm, ratios).statistic)
     tau_l = float(kendalltau(ll, ratios).statistic)
-    # duality identities match their partners exactly (point-wise values)
+    # duality identities: the sweep evaluator on the mirrored lemma matches
+    # the partner enumerated k1 by k1, to rounding (point-wise values)
     rng = np.random.default_rng(6)
     worst_dual = 0.0
     for lemma in ("DRB1", "DRB2"):
@@ -242,14 +244,14 @@ def test_criterion_6_counting_estimates(counting_results):
                 for _ in range(20):
                     tau = float(rng.uniform(-80.0, 5.0))
                     k = float(rng.integers(1, 9)) / lam
-                    a = cell_measure(case, tau, k)
+                    a = float(_batched_values(case, np.array([tau]), k)[0])
                     b = cell_measure(partner, tau, k)
-                    worst_dual = max(worst_dual, abs(a - b))
+                    worst_dual = max(worst_dual, abs(a - b) / max(1.0, abs(b)))
     ok = (
         spread < 10.0
         and abs(tau_m) < 0.3
         and abs(tau_l) < 0.3
-        and worst_dual == 0.0
+        and worst_dual <= 1e-12
         and elapsed < 600.0
     )
     report(
@@ -356,7 +358,7 @@ def test_criterion_10_solver_oracle():
     from gblab.lattice import field_from_modes
 
     u0 = field_from_modes(lat, {0.5: 0.05, -1.0: 0.02j, 2.0: 0.01})
-    cfg = SolverConfig(lam=2.0, s=-0.5, T=0.5, dt=1e-3, K=4.0, contraction_tol=1e-12)
+    cfg = SolverConfig(lam=2.0, s=-0.5, T=0.5, dt=1e-3, contraction_tol=1e-12)
     res = picard_solve(u0, cfg)
     ref = reference_solve(u0, cfg)
     i = res.trajectory.index_of_time(0.5)
@@ -368,7 +370,7 @@ def test_criterion_10_solver_oracle():
     u1 = field_from_modes(lat1, {1.0: 0.4, -2.0: 0.3j, 0.0: 0.2})
     ends = {}
     for dt in (1e-2, 5e-3, 2.5e-3):
-        c = SolverConfig(lam=1.0, s=-0.5, T=0.4, dt=dt, K=4.0)
+        c = SolverConfig(lam=1.0, s=-0.5, T=0.4, dt=dt)
         traj = reference_solve(u1, c)
         ends[dt] = traj.coeff[traj.index_of_time(0.4)]
     e1 = np.abs(ends[1e-2] - ends[5e-3]).max()

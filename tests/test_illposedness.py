@@ -77,6 +77,18 @@ class TestCondN:
             assert ok
             assert diag["osc_factor"] >= math.sqrt(2.0) - 1e-12
 
+    @pytest.mark.parametrize("K, expected", [
+        (64.0, [9.5, 10.75, 34.75, 35.0, 40.75, 63.5]),
+        (256.0, [9.5, 15.5, 34.75, 40.75, 135.25, 241.75]),
+        # a target snapped to the band's top edge K/2 takes the first
+        # admissible N above it, where 2N leaves the truncation
+        (128.0, [9.5, 15.5, 34.75, 64.25, 65.75, 116.0]),
+        (192.0, [9.5, 15.5, 34.75, 110.0, 110.25, 191.5]),
+    ])
+    def test_sweep_scan_lists(self, K, expected):
+        # the scan inflation_sweep runs (lam = 4, t0 = 1/2, factor 2)
+        assert scan_cond_n(4.0, 0.5, K, 2.0, avoid_band=(K / 6.0, K / 2.0)) == expected
+
     def test_separation_clause(self):
         ok, diag = check_cond_n(4.0, 10.0, 1.0, factor=100.0)
         assert not diag["separation"]  # 2 N t0 = 20 < 400

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from gblab.illposedness import make_phi
 from gblab.lattice import (
+    SpectralField,
     Trajectory,
     field_from_modes,
     make_lattice,
@@ -20,6 +22,7 @@ from gblab.solver import (
     duhamel,
     free_evolve,
     free_trajectory,
+    integral_residual,
     nonlinearity,
     phase_integral,
     picard_solve,
@@ -164,12 +167,14 @@ class TestDuhamel:
     def test_oscillating_zero_mode_closed_form(self):
         lat = make_lattice(1.0, 1.0)
         theta = 3.7
-        t = np.linspace(0.0, 1.0, 501)
-        rows = np.zeros((t.size, lat.modes), dtype=complex)
-        rows[:, lat.index_of(0.0)] = np.exp(1j * theta * t)
-        out = duhamel(Trajectory(lat, t, rows), 1.0)
-        expected = (np.exp(1j * theta) - 1.0) / (1j * theta)
-        assert out.coeff[lat.index_of(0.0)] == pytest.approx(expected, abs=1e-10)
+        # 500 intervals (Simpson pairs only) and 499 (the odd-prefix end rule)
+        for n_points in (501, 500):
+            t = np.linspace(0.0, 1.0, n_points)
+            rows = np.zeros((t.size, lat.modes), dtype=complex)
+            rows[:, lat.index_of(0.0)] = np.exp(1j * theta * t)
+            out = duhamel(Trajectory(lat, t, rows), 1.0)
+            expected = (np.exp(1j * theta) - 1.0) / (1j * theta)
+            assert out.coeff[lat.index_of(0.0)] == pytest.approx(expected, abs=1e-10)
 
     def test_negative_time(self, small_lattice, rng):
         g = random_field(small_lattice, rng)
@@ -211,7 +216,7 @@ class TestPhaseIntegral:
 class TestPicard:
     def test_zero_data(self):
         lat = make_lattice(2.0, 4.0)
-        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.5, dt=1e-2, K=4.0)
+        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.5, dt=1e-2)
         res = picard_solve(zero_field(lat), cfg)
         assert np.abs(res.trajectory.coeff).max() == 0.0
         assert res.report.converged
@@ -220,7 +225,7 @@ class TestPicard:
     def test_tiny_data_contracts_geometrically(self):
         lat = make_lattice(4.0, 4.0)
         u0 = field_from_modes(lat, {1.0: 1e-2})
-        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, dt=2e-3, K=4.0)
+        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, dt=2e-3)
         res = picard_solve(u0, cfg)
         assert res.report.converged
         assert all(r < 0.5 for r in res.report.ratios[1:])
@@ -229,17 +234,39 @@ class TestPicard:
     def test_residual_bound(self):
         lat = make_lattice(4.0, 4.0)
         u0 = field_from_modes(lat, {1.0: 5e-2, -0.5: 2e-2j})
-        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, dt=2e-3, K=4.0, contraction_tol=1e-11)
+        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, dt=2e-3, contraction_tol=1e-11)
         res = picard_solve(u0, cfg)
         assert res.report.converged
         assert res.report.residual < 10 * cfg.contraction_tol * h_norm(u0, -0.5)
+
+    def test_residual_is_the_next_picard_difference(self):
+        # the residual is |u - Phi(u)| for the map the loop iterates, so on
+        # the first iterate it is the loop's second difference, bit for bit
+        lat = make_lattice(4.0, 4.0)
+        u0 = field_from_modes(lat, {1.0: 5e-2, -0.5: 2e-2j})
+        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, t_min=-0.2, dt=2e-3)
+        res = picard_solve(u0, cfg)
+        assert integral_residual(res.iterates[0], u0, cfg) == res.report.diff_history[1]
+
+    def test_odd_interval_counts(self):
+        # 25 steps forward and 5 back: both prefix sweeps end on an odd row
+        lat = make_lattice(2.0, 4.0)
+        u0 = field_from_modes(lat, {0.5: 0.05, -1.0: 0.02j})
+        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.25, t_min=-0.05, dt=1e-2, contraction_tol=1e-12)
+        res = picard_solve(u0, cfg)
+        ref = reference_solve(u0, cfg)
+        assert res.report.converged
+        assert res.report.residual < 10 * cfg.contraction_tol * h_norm(u0, -0.5)
+        for t in (-0.05, 0.25):
+            i = ref.index_of_time(t)
+            assert np.abs(res.trajectory.coeff[i] - ref.coeff[i]).max() < 1e-8
 
     def test_divergence_raises_with_history(self):
         from gblab.solver import PicardDivergenceError
 
         lat = make_lattice(1.0, 8.0)
         u0 = field_from_modes(lat, {1.0: 30.0, 2.0: 30.0})
-        cfg = SolverConfig(lam=1.0, s=-0.5, T=1.0, dt=1e-2, K=8.0, max_picard=25)
+        cfg = SolverConfig(lam=1.0, s=-0.5, T=1.0, dt=1e-2, max_picard=25)
         with pytest.raises(PicardDivergenceError) as exc:
             picard_solve(u0, cfg)
         assert len(exc.value.ratios) >= 3
@@ -247,7 +274,7 @@ class TestPicard:
     def test_matches_reference(self):
         lat = make_lattice(2.0, 4.0)
         u0 = field_from_modes(lat, {0.5: 0.05, -1.0: 0.02j})
-        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.5, dt=1e-3, K=4.0, contraction_tol=1e-12)
+        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.5, dt=1e-3, contraction_tol=1e-12)
         res = picard_solve(u0, cfg)
         ref = reference_solve(u0, cfg)
         i = res.trajectory.index_of_time(0.5)
@@ -257,10 +284,17 @@ class TestPicard:
         assert err / rel < 1e-6
 
 
+class TestSolverConfig:
+    def test_rejects_grid_without_t_zero(self):
+        # -0.25 + 0.1 m never hits 0: the grid would be -0.25, -0.15, ..., 0.25
+        with pytest.raises(ValueError):
+            SolverConfig(lam=1.0, s=-0.5, T=0.25, t_min=-0.25, dt=0.1)
+
+
 class TestReference:
     def test_zero_data(self):
         lat = make_lattice(1.0, 2.0)
-        cfg = SolverConfig(lam=1.0, s=-0.5, T=0.25, dt=1e-2, K=2.0)
+        cfg = SolverConfig(lam=1.0, s=-0.5, T=0.25, dt=1e-2)
         traj = reference_solve(zero_field(lat), cfg)
         assert np.abs(traj.coeff).max() == 0.0
 
@@ -268,7 +302,7 @@ class TestReference:
         lat = make_lattice(1.0, 4.0)
         u0 = random_field(lat, rng, scale=0.1)
         cfg = SolverConfig(
-            lam=1.0, s=-0.5, T=0.25, dt=5e-3, K=4.0,
+            lam=1.0, s=-0.5, T=0.25, dt=5e-3,
             include_linear=False, include_quadratic=False,
         )
         traj = reference_solve(u0, cfg)
@@ -281,7 +315,7 @@ class TestReference:
         u0 = field_from_modes(lat, {1.0: 0.4, -2.0: 0.3j, 0.0: 0.2})
         ends = {}
         for dt in (1e-2, 5e-3, 2.5e-3):
-            cfg = SolverConfig(lam=1.0, s=-0.5, T=0.4, dt=dt, K=4.0)
+            cfg = SolverConfig(lam=1.0, s=-0.5, T=0.4, dt=dt)
             traj = reference_solve(u0, cfg)
             ends[dt] = traj.coeff[traj.index_of_time(0.4)]
         e1 = np.abs(ends[1e-2] - ends[5e-3]).max()
@@ -291,7 +325,7 @@ class TestReference:
     def test_negative_time_branch(self, rng):
         lat = make_lattice(1.0, 3.0)
         u0 = random_field(lat, rng, scale=0.05)
-        cfg = SolverConfig(lam=1.0, s=-0.5, T=0.2, t_min=-0.2, dt=5e-3, K=3.0)
+        cfg = SolverConfig(lam=1.0, s=-0.5, T=0.2, t_min=-0.2, dt=5e-3)
         traj = reference_solve(u0, cfg)
         res = picard_solve(u0, cfg)
         i = traj.index_of_time(-0.2)
@@ -305,7 +339,7 @@ class TestLinearTermNegligibility:
         for lam in (4.0, 8.0, 16.0):
             lat = make_lattice(lam, 2.0)
             u0 = field_from_modes(lat, {1.0: 0.05, 1.0 + 1.0 / lam: 0.05})
-            kw = dict(lam=lam, s=-0.5, T=0.5, dt=2.5e-3, K=2.0, contraction_tol=1e-12)
+            kw = dict(lam=lam, s=-0.5, T=0.5, dt=2.5e-3, contraction_tol=1e-12)
             on = picard_solve(u0, SolverConfig(**kw)).trajectory
             off = picard_solve(u0, SolverConfig(include_linear=False, **kw)).trajectory
             diff = on.coeff - off.coeff
@@ -368,6 +402,40 @@ class TestA2Iterate:
         chunked = _a2_quadrature(phi, 0.4, 2.0, chunk=7)
         assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
         assert np.linalg.norm(whole - closed) <= 1e-8 * np.linalg.norm(closed)
+
+    def test_closed_form_matches_per_mode_loop(self, rng):
+        def per_mode_loop(phi, t0, lam):
+            # the sum over every lattice pair (k1, k1 - k), one output at a time
+            lattice = phi.lattice
+            J = lattice.half_modes
+            k = lattice.k
+            c = phi.coeff
+            out = np.zeros(lattice.modes, dtype=np.complex128)
+            for idx in range(lattice.modes):
+                j = idx - J
+                lo, hi = max(-J, -J + j), min(J, J + j)
+                k1 = np.arange(lo, hi + 1) / lattice.lam
+                a = c[lo + J : hi + J + 1]
+                b = np.conj(c[lo - j + J : hi - j + J + 1])
+                theta = 2.0 * k[idx] * (k[idx] - k1)
+                out[idx] = np.sum(a * b * phase_integral(theta, t0))
+            m = omega_multiplier(lattice, lam)
+            out *= 0.5j * m * np.exp(-1j * k * k * t0) / (lattice.lam * SQRT_TWO_PI)
+            return out
+
+        lam, t0 = 4.0, 0.5
+        for phi in (make_phi(lam, 34.75, K=64.0), make_phi(lam, 10.75, "line")):
+            assert np.array_equal(_a2_closed_form(phi, t0, lam), per_mode_loop(phi, t0, lam))
+        lat = make_lattice(lam, 8.0)
+        dense = random_field(lat, rng)
+        sparse = np.zeros(lat.modes, dtype=complex)
+        # both ends +-J populated, so pairs with |k_a - k_b| > K must drop out
+        picks = np.concatenate(([0, lat.modes - 1], rng.choice(lat.modes, 6, replace=False)))
+        sparse[picks] = rng.standard_normal(picks.size) + 1j * rng.standard_normal(picks.size)
+        for phi in (dense, SpectralField(lat, sparse)):
+            got = _a2_closed_form(phi, t0, lam)
+            want = per_mode_loop(phi, t0, lam)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_rejects_nonpositive_time(self):
         lat = make_lattice(1.0, 2.0)
