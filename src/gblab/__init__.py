@@ -25,7 +25,6 @@ from .norms import (
     NormSpec,
     RegionPredicate,
     besov_norm,
-    difference_norm,
     dyadic_shells,
     h_norm,
     project,
@@ -47,19 +46,14 @@ from .solver import (
 )
 from .resonance import (
     CountingCase,
-    ResonancePoint,
     SweepSampler,
     cell_measure,
-    l4_identity_check,
-    resonance_fn,
     sup_sweep,
 )
 from .bilinear_probe import (
     bilinear_image,
-    bilinear_image_in_region,
     l4_ratio,
     ratio_probe,
-    region_classify,
     slope_sweep,
 )
 from .illposedness import (

@@ -1,7 +1,6 @@
 """Empirical probes of the key bilinear estimate: the smoothed bilinear image
-with its three conjugation patterns, the interaction-region classifier, ratio
-sweeps against the predicted lambda-loss factors, and the L4/dispersive-norm
-ratio probe."""
+with its three conjugation patterns, ratio sweeps whose fitted lambda slopes
+measure the loss, and the L4/dispersive-norm ratio probe."""
 
 from __future__ import annotations
 
@@ -22,14 +21,11 @@ from .lattice import (
 )
 from .norms import ws_norm, xsb_norm
 from .reduction import omega_multiplier
-from .resonance import ResonancePoint
 
 TWO_PI = 2.0 * math.pi
 
 KINDS = ("u vbar", "u v", "ubar vbar")
 
-LOW_CUT = 2.0  # |k| at or below this counts as the low-frequency region
-MUCH = 4.0  # ratio implementing "much smaller/larger"
 _SPARSE_LIMIT = 64
 
 
@@ -108,121 +104,6 @@ def bilinear_image(
     return u.with_coeff(raw * m[None, :] / mod)
 
 
-def region_classify(p: ResonancePoint, kind: str = "u vbar") -> tuple[int, str]:
-    """Interaction region 0..4 from the frequency geometry (partition of k != 0,
-    ties toward the lower index), with a modulation-balance subtag."""
-    if kind not in KINDS:
-        raise LatticeError(f"unknown bilinear kind {kind}")
-    k, k1 = p.k, p.k1
-    if k == 0.0:
-        raise LatticeError("regions partition the output frequencies k != 0")
-    d = k1 - k
-    if min(abs(k1), abs(d)) <= LOW_CUT:
-        return 0, ""
-    if abs(k) <= 1.0:
-        region = 4
-    elif MUCH * abs(k) < min(abs(k1), abs(d)):
-        region = 3
-    elif abs(k1) <= abs(d):
-        region = 1
-    else:
-        region = 2
-    if kind == "ubar vbar":
-        mu = abs(-p.tau1 + k1 * k1)
-    else:
-        mu = abs(p.tau1 + k1 * k1)
-    if kind == "u v":
-        mv = abs((p.tau - p.tau1) + (k - k1) ** 2)
-    else:
-        mv = abs((p.tau1 - p.tau) + (k1 - k) ** 2)
-    if region == 1:
-        tag = "11" if mv >= abs(d) else ("12" if mu >= abs(k1) else "13")
-    elif region == 2:
-        tag = "21" if mu >= abs(k1) else ("22" if mv >= abs(d) else "23")
-    elif region == 3:
-        tag = "31" if mu >= abs(k1) else ("32" if mv >= abs(d) else "33")
-    else:
-        N = abs(k)
-        if mu >= abs(k1):
-            tag = "41"
-        elif mu >= N * abs(k1):
-            tag = "41p"
-        elif mv >= abs(d):
-            tag = "42"
-        elif mv >= N * abs(d):
-            tag = "42p"
-        else:
-            tag = "43"
-    return region, tag
-
-
-def bilinear_image_in_region(
-    u: SpacetimeSpectrum, v: SpacetimeSpectrum, kind: str, region: int
-) -> SpacetimeSpectrum:
-    """Bilinear image with the input-pair sum restricted to one interaction
-    region (frequency geometry only; regions partition the output k != 0).
-
-    Direct per-pair evaluation, intended for small grids and reassembly
-    checks; the unrestricted operator is the fast path.
-    """
-    if kind not in KINDS:
-        raise LatticeError(f"unknown bilinear kind {kind}")
-    n_tau, modes = u.coeff.shape
-    half_t = (n_tau - 1) // 2
-    J = u.lattice.half_modes
-    lam = u.lattice.lam
-    out = np.zeros_like(u.coeff)
-    for jk in range(modes):
-        k = (jk - J) / lam
-        if k == 0.0:
-            continue
-        for j1 in range(modes):
-            k1 = (j1 - J) / lam
-            r, _ = region_classify(ResonancePoint(0.0, k, 0.0, k1), kind)
-            if r != region:
-                continue
-            if kind == "u v":
-                j2 = (jk - J) - (j1 - J) + J
-            else:
-                j2 = (j1 - J) - (jk - J) + J
-            if not (0 <= j2 < modes):
-                continue
-            if kind == "ubar vbar":
-                ju = -(j1 - J) + J
-                if not (0 <= ju < modes):
-                    continue
-                a = np.conj(u.coeff[::-1, ju])
-            else:
-                a = u.coeff[:, j1]
-            for it in range(n_tau):
-                d = it - half_t
-                s = 0.0 + 0.0j
-                for i1 in range(n_tau):
-                    if kind == "u v":
-                        i2 = d - (i1 - half_t) + half_t
-                    else:
-                        i2 = (i1 - half_t) - d + half_t
-                    if 0 <= i2 < n_tau:
-                        b = v.coeff[i2, j2]
-                        if kind != "u v":
-                            b = np.conj(b)
-                        s += a[i1] * b
-                out[it, jk] += s
-    out *= u.dtau / (TWO_PI * lam)
-    m = omega_multiplier(u.lattice)
-    mod = np.sqrt(1.0 + (u.tau[:, None] + (u.lattice.k ** 2)[None, :]) ** 2)
-    return u.with_coeff(out * m[None, :] / mod)
-
-
-def loss_factor(s: float, lam: float) -> float:
-    """Predicted worst-kind loss: lam^(-2s-1/2) below s=-1/4, sqrt(log) at -1/4."""
-    if not (-0.5 <= s <= -0.25):
-        raise ValueError("loss factor defined for -1/2 <= s <= -1/4")
-    if s == -0.25:
-        return math.sqrt(math.log(1.0 + lam))
-    return lam ** (-2.0 * s - 0.5)
-
-
 def _probe_grids(lam: float, generator: str):
     if generator == "adversarial-omega4":
         n1 = max(8.0, 0.625 * lam)
@@ -286,25 +167,6 @@ def generate_pair(kind: str, generator: str, lam: float, rng):
     raise LatticeError(f"unknown generator {generator}")
 
 
-def per_region_pairs(lam: float, rng):
-    """Cluster geometries steering the product into each nontrivial region."""
-    lattice = make_lattice(lam, 40.0)
-    tau = make_tau_grid(1800.0, 2.0)
-    n = 24.0
-    geometries = {
-        1: (3.0, 3.0 - n),        # small k1, |k1-k| ~ |k| ~ n
-        2: (n, -3.0),             # |k1| ~ |k|, small difference frequency
-        3: (n, n - 6.0),          # output at 6: 1 << |k| << n
-        4: (n, n - 0.5),          # output inside [1/lam, 1]
-    }
-    out = {}
-    for region, (cu, cv) in geometries.items():
-        u = _cluster(lattice, tau, cu, rng)
-        v = _cluster(lattice, tau, cv, rng)
-        out[region] = (u, v)
-    return out
-
-
 @dataclass(frozen=True)
 class ProbeReport:
     kind: str
@@ -346,17 +208,13 @@ def ratio_probe(
     ratios = []
     skipped = 0
     for _ in range(n_trials):
-        if generator == "per-region":
-            pairs = list(per_region_pairs(lam, rng).values())
-        else:
-            pairs = [generate_pair(kind, generator, lam, rng)]
-        for u, v in pairs:
-            nu, nv = ws_norm(u, s), ws_norm(v, s)
-            if nu == 0.0 or nv == 0.0:
-                skipped += 1
-                continue
-            img = bilinear_image(u, v, kind)
-            ratios.append(ws_norm(img, s) / (nu * nv))
+        u, v = generate_pair(kind, generator, lam, rng)
+        nu, nv = ws_norm(u, s), ws_norm(v, s)
+        if nu == 0.0 or nv == 0.0:
+            skipped += 1
+            continue
+        img = bilinear_image(u, v, kind)
+        ratios.append(ws_norm(img, s) / (nu * nv))
     return ProbeReport(
         kind=kind,
         generator=generator,

@@ -28,20 +28,22 @@ from .solver import (
 )
 
 TWO_PI = 2.0 * math.pi
+LOW_BAND = 1.0  # |k| <= LOW_BAND is the low band of the remainder proxy
+LINE_REFINE = 20  # the line variant's lattice is this many times finer
 
 
 class InflationError(ValueError):
     pass
 
 
-def make_phi(lam: float, N: float, variant: str = "torus", refine: int = 20,
+def make_phi(lam: float, N: float, variant: str = "torus",
              K: float | None = None) -> SpectralField:
     """The concentrated two-frequency profile at height N.
 
     torus: unit coefficients at exactly N and N + 1/lam.
     line: indicator coefficients on [N, N + 1/(10 lam)] and
-    [N + 1/lam, N + 11/(10 lam)], discretized on a refine-times finer lattice
-    (so each interval holds at least two modes).
+    [N + 1/lam, N + 11/(10 lam)], discretized on a LINE_REFINE-times finer
+    lattice (so each interval holds at least two modes).
     """
     if N <= 0:
         raise InflationError("N must be a positive lattice frequency")
@@ -54,9 +56,7 @@ def make_phi(lam: float, N: float, variant: str = "torus", refine: int = 20,
         coeff[lattice.index_of(N + 1.0 / lam)] = 1.0
         return SpectralField(lattice, coeff)
     if variant == "line":
-        if refine < 20:
-            raise InflationError("line variant needs refinement >= 20")
-        lam_f = refine * lam
+        lam_f = LINE_REFINE * lam
         lattice = make_lattice(lam_f, K if K is not None else N + 2.0 / lam)
         if N + 1.1 / lam > lattice.K + 1e-12:
             raise InflationError("line profile extends beyond the truncation")
@@ -185,8 +185,6 @@ class InflationConfig:
     max_picard: int = 30
     dt_cap: float = 0.02
     report_s: tuple = (-0.5,)
-    low_band: float = 1.0
-    refine: int = 20
     include_linear: bool = True
 
     def __post_init__(self):
@@ -224,7 +222,7 @@ class InflationReport:
     metrics: dict
 
 
-def _interaction_phase_cap(N: float, lattice: FrequencyLattice, low_band: float) -> float:
+def _interaction_phase_cap(N: float, lattice: FrequencyLattice) -> float:
     """Largest unwound phase rate among interactions that survive truncation.
 
     Squared-field products at 2N carry rates up to ~6 N^2 when 2N stays on the
@@ -234,11 +232,11 @@ def _interaction_phase_cap(N: float, lattice: FrequencyLattice, low_band: float)
     k_max = lattice.half_modes / lattice.lam
     if 2.0 * N <= k_max:
         return 6.0 * N * N + 12.0 * N + 10.0
-    return 2.2 * (k_max + 1.0) * max(low_band, 1.0) + 4.0 * N / lattice.lam
+    return 2.2 * (k_max + 1.0) * LOW_BAND + 4.0 * N / lattice.lam
 
 
 def _solver_dt(cfg: InflationConfig, N: float, lattice: FrequencyLattice) -> float:
-    theta = _interaction_phase_cap(N, lattice, cfg.low_band)
+    theta = _interaction_phase_cap(N, lattice)
     dt = min(cfg.dt_cap, 1.0 / theta, cfg.t0 / 64.0)
     n = max(64, int(math.ceil(cfg.t0 / dt)))
     if n % 2 == 1:
@@ -246,8 +244,8 @@ def _solver_dt(cfg: InflationConfig, N: float, lattice: FrequencyLattice) -> flo
     return cfg.t0 / n
 
 
-def _band_h_norm(f: SpectralField, s: float, band: float) -> float:
-    mask = np.abs(f.lattice.k) <= band
+def _low_band_h_norm(f: SpectralField, s: float) -> float:
+    mask = np.abs(f.lattice.k) <= LOW_BAND
     w = (1.0 + f.lattice.k**2) ** s
     return float(np.sqrt(np.sum(w * mask * np.abs(f.coeff) ** 2) / f.lattice.lam))
 
@@ -276,7 +274,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
     rows = []
     for N in n_list:
         _, diag = check_cond_n(cfg.lam, N, cfg.t0, cfg.cond_factor)
-        phi = make_phi(cfg.lam, N, cfg.variant, refine=cfg.refine, K=cfg.K)
+        phi = make_phi(cfg.lam, N, cfg.variant, K=cfg.K)
         lattice = phi.lattice
         u0 = SpectralField(lattice, cfg.delta * math.sqrt(N) * phi.coeff)
         dt = _solver_dt(cfg, N, lattice)
@@ -330,7 +328,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
         for s in s_values:
             norms[s]["solution"] = h_norm(u_end, s)
             norms[s]["residue"] = h_norm(residue, s)
-            norms[s]["solution_low"] = _band_h_norm(u_end, s, cfg.low_band)
+            norms[s]["solution_low"] = _low_band_h_norm(u_end, s)
         rows.append(
             InflationRow(
                 N=N,
@@ -338,7 +336,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                 dt=dt,
                 error=None,
                 norms=norms,
-                w_proxy=_band_h_norm(w, -0.5, cfg.low_band),
+                w_proxy=_low_band_h_norm(w, -0.5),
                 w_full=h_norm(w, -0.5),
                 picard_iterations=result.report.iterations,
             )
@@ -382,7 +380,8 @@ def _finish_report(cfg: InflationConfig, rows) -> InflationReport:
 
 def report_to_json(report: InflationReport) -> str:
     payload = {
-        "config": asdict(report.config),
+        # the two constants stay in the record of the run's parameters
+        "config": {**asdict(report.config), "low_band": LOW_BAND, "refine": LINE_REFINE},
         "verdict": report.verdict,
         "metrics": report.metrics,
         "rows": [

@@ -164,7 +164,9 @@ def inverse_transform(field: SpectralField, n: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpacetimeSpectrum:
-    """Space-time Fourier data u~(tau, k) on a uniform symmetric tau grid."""
+    """Space-time Fourier data u~(tau, k) on a uniform symmetric tau grid.
+
+    The given arrays are frozen in place, not copied."""
 
     lattice: FrequencyLattice
     tau: np.ndarray
@@ -180,8 +182,6 @@ class SpacetimeSpectrum:
             raise LatticeError("tau grid must be uniform")
         if c.shape != (t.size, self.lattice.modes):
             raise LatticeError(f"coeff shape {c.shape} != (n_tau, modes)")
-        t = t.copy()
-        c = c.copy()
         t.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "tau", t)

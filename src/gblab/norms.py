@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SpacetimeSpectrum, SpectralField, Trajectory
+from .lattice import SpacetimeSpectrum, SpectralField
 
 MUCH_GREATER = 4.0
 
@@ -276,57 +276,6 @@ def besov_1d(values: np.ndarray, grid: np.ndarray, sigma: float, measure: float)
         w = lp_bump(j, grid) ** 2
         total += 2.0 ** (sigma * j) * math.sqrt(float(np.sum(w * abs2) * measure))
     return total
-
-
-def difference_norm(f: Trajectory, s: float, b: float) -> float:
-    """Besov norm via time differences: per spatial block, the L2 norm plus the
-    integral of |r|^(-b) ||f_j(t+r) - f_j(t)||_L2 dr/|r| on a geometric r-grid.
-
-    The r-integral is truncated to [dt, 4T] and discretized with ratio 2^(1/4);
-    the trajectory is treated as zero outside its grid.
-    """
-    if not (0.0 < b < 1.0):
-        raise ValueError("difference form needs 0 < b < 1")
-    k = f.lattice.k
-    dt = f.dt
-    T = float(f.t[-1] - f.t[0])
-    jmax = _lp_levels(k)
-    meas_x = 1.0 / f.lattice.lam
-    total = 0.0
-    # geometric shift grid, snapped to whole steps, deduplicated
-    shifts = []
-    r = dt
-    while r <= 4.0 * T:
-        m = max(1, int(round(r / dt)))
-        if not shifts or shifts[-1][0] != m:
-            shifts.append((m, r))
-        r *= 2.0 ** 0.25
-    for j in range(jmax + 1):
-        pj = lp_bump(j, k)
-        if not pj.any():
-            continue
-        fj = f.coeff * pj[None, :]
-        l2 = math.sqrt(float(np.sum(np.abs(fj) ** 2) * dt * meas_x))
-        diff_part = 0.0
-        prev_edge = dt * 2.0 ** (-0.125)
-        for m, r_nom in shifts:
-            edge = r_nom * 2.0 ** 0.125
-            # exact integral of r^(-1-b) over the geometric cell
-            weight = (prev_edge ** (-b) - edge ** (-b)) / b
-            prev_edge = edge
-            if m >= fj.shape[0]:
-                dn2 = 2.0 * float(np.sum(np.abs(fj) ** 2))
-            else:
-                # f_j vanishes off the grid: overlap + two uncovered stubs
-                dn2 = float(
-                    np.sum(np.abs(fj[m:] - fj[:-m]) ** 2)
-                    + np.sum(np.abs(fj[-m:]) ** 2)
-                    + np.sum(np.abs(fj[:m]) ** 2)
-                )
-            dn = math.sqrt(dn2 * dt * meas_x)
-            diff_part += 2.0 * weight * dn  # both signs of r
-        total += 2.0 ** (s * j) * (l2 + diff_part)
-    return float(total)
 
 
 def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:

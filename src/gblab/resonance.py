@@ -65,51 +65,6 @@ class CountingCase:
         return min(self.M1, self.M2) / self.lam
 
 
-@dataclass(frozen=True)
-class ResonancePoint:
-    tau: float
-    k: float
-    tau1: float
-    k1: float
-
-    def on_lattice(self, lam: float) -> bool:
-        return (
-            abs(round(self.k * lam) - self.k * lam) < 1e-9
-            and abs(round(self.k1 * lam) - self.k1 * lam) < 1e-9
-        )
-
-
-def resonance_fn(kind: str, p: ResonancePoint) -> tuple[float, float]:
-    """(quantity, signed combination): the guaranteed size of the largest
-    modulation and the exact signed combination that produces it.
-
-    kinds: 'u vbar' -> 2|k||k1-k|/3, 'u v' -> 2|k1||k-k1|/3,
-    'ubar vbar' -> (k^2 + k1^2 + (k1-k)^2)/3.
-    """
-    tau, k, tau1, k1 = p.tau, p.k, p.tau1, p.k1
-    if kind == "u vbar":
-        comb = (tau + k * k) - (tau1 + k1 * k1) + ((tau1 - tau) + (k1 - k) ** 2)
-        qty = 2.0 * abs(k) * abs(k1 - k) / 3.0
-    elif kind == "u v":
-        comb = (tau + k * k) - (tau1 + k1 * k1) - ((tau - tau1) + (k - k1) ** 2)
-        qty = 2.0 * abs(k1) * abs(k - k1) / 3.0
-    elif kind == "ubar vbar":
-        comb = (tau + k * k) + (-tau1 + k1 * k1) + ((tau1 - tau) + (k1 - k) ** 2)
-        qty = (k * k + k1 * k1 + (k1 - k) ** 2) / 3.0
-    else:
-        raise CountingError(f"unknown kind {kind}")
-    if abs(comb) < qty * (1.0 - 1e-12):
-        raise CountingError("resonance lower bound violated; check the algebra")
-    return qty, comb
-
-
-def l4_identity_check(tau: float, xi: float, tau1: float, xi1: float) -> float:
-    """Residual of (tau1+xi1^2) + (tau-tau1+(xi-xi1)^2) = tau + xi^2/2 + (xi-2 xi1)^2/2."""
-    lhs = (tau1 + xi1**2) + (tau - tau1 + (xi - xi1) ** 2)
-    rhs = tau + xi**2 / 2.0 + 0.5 * (xi - 2.0 * xi1) ** 2
-    return float(lhs - rhs)
-
-
 def _radius(m: float) -> float:
     """Half-width of the modulation window 'at most comparable to m'.
 

@@ -5,21 +5,16 @@ import pytest
 
 from gblab.bilinear_probe import (
     bilinear_image,
-    bilinear_image_in_region,
     fitted_slope,
     generate_pair,
     l4_ratio,
-    loss_factor,
-    per_region_pairs,
     physical_samples,
     ratio_probe,
-    region_classify,
     slope_sweep,
 )
-from gblab.lattice import SpacetimeSpectrum, make_lattice, make_tau_grid
+from gblab.lattice import LatticeError, SpacetimeSpectrum, make_lattice, make_tau_grid
 from gblab.norms import ws_norm, xsb_norm
 from gblab.reduction import omega_multiplier
-from gblab.resonance import ResonancePoint
 
 from conftest import random_spectrum
 
@@ -153,20 +148,6 @@ class TestBilinearImage:
         r2 = ratio(u.with_coeff(5.0 * u.coeff), v.with_coeff(0.25 * v.coeff))
         assert r2 == pytest.approx(r1, rel=1e-10)
 
-    @pytest.mark.parametrize("kind", ["u v", "u vbar", "ubar vbar"])
-    def test_region_partition_reassembles_image(self, kind, rng):
-        # summing the region-restricted operators over the partition recovers
-        # the unrestricted image (the k=0 column dies under the multiplier)
-        lat = make_lattice(2.0, 3.0)
-        tau = make_tau_grid(3.5, 1.0)
-        u = random_spectrum(lat, tau, rng)
-        v = random_spectrum(lat, tau, rng)
-        full = bilinear_image(u, v, kind)
-        total = np.zeros_like(full.coeff)
-        for region in range(5):
-            total += bilinear_image_in_region(u, v, kind, region).coeff
-        assert np.abs(total - full.coeff).max() < 1e-12 * np.abs(full.coeff).max()
-
     def test_region_restricted_reassembly(self, rng):
         # images of region-projected input pairs sum back to the full image
         from gblab.norms import k_band, project
@@ -183,78 +164,6 @@ class TestBilinearImage:
         assert np.abs(total - full.coeff).max() < 1e-12 * np.abs(full.coeff).max()
 
 
-class TestRegionClassify:
-    def test_low_input_frequency(self):
-        r, _ = region_classify(ResonancePoint(0.0, 5.0, 0.0, 0.5))
-        assert r == 0
-
-    def test_high_high_to_low(self):
-        r, _ = region_classify(ResonancePoint(0.0, 0.25, 0.0, 100.0))
-        assert r == 4
-
-    def test_balanced_output(self):
-        r, _ = region_classify(ResonancePoint(0.0, 50.0, 0.0, 45.0))
-        assert r == 2
-        r, _ = region_classify(ResonancePoint(0.0, 50.0, 0.0, 5.0))
-        assert r == 1
-
-    def test_high_high_to_medium(self):
-        r, _ = region_classify(ResonancePoint(0.0, 4.0, 0.0, 100.0))
-        assert r == 3
-
-    def test_partition_random_points(self, rng):
-        lam = 4.0
-        js = rng.integers(-400, 401, size=20000)
-        j1s = rng.integers(-400, 401, size=20000)
-        taus = rng.uniform(-50, 50, size=20000)
-        tau1s = rng.uniform(-50, 50, size=20000)
-        counts = np.zeros(5, dtype=int)
-        for j, j1, t, t1 in zip(js, j1s, taus, tau1s):
-            if j == 0:
-                continue
-            r, tag = region_classify(ResonancePoint(t, j / lam, t1, j1 / lam))
-            counts[r] += 1
-        assert counts.sum() == np.count_nonzero(js)
-        assert (counts[1:] > 0).all()
-
-    def test_subregion_tags_partition_region(self, rng):
-        seen = set()
-        for _ in range(4000):
-            k1 = float(rng.integers(3, 60))
-            tau1 = -k1 * k1 + rng.uniform(-3 * k1, 3 * k1)
-            tau = tau1 + (k1 - 0.5) ** 2 + rng.uniform(-3 * k1, 3 * k1)
-            r, tag = region_classify(ResonancePoint(tau, 0.5, tau1, k1))
-            if r == 4:
-                seen.add(tag)
-        assert seen <= {"41", "41p", "42", "42p", "43"}
-
-    def test_subregion_tags_targeted(self):
-        # place each modulation balance by hand: k=0.5, k1=40, d=39.5
-        k, k1 = 0.5, 40.0
-        on_curve_u = -k1 * k1
-        on_curve_v = lambda tau1: tau1 + (k1 - k) ** 2
-
-        def tag_of(tau1_off, tau_off):
-            tau1 = on_curve_u + tau1_off
-            tau = on_curve_v(tau1) - tau_off
-            return region_classify(ResonancePoint(tau, k, tau1, k1))
-
-        assert tag_of(100.0, 0.0) == (4, "41")        # mu >= |k1|
-        assert tag_of(30.0, 0.0) == (4, "41p")        # N|k1| <= mu < |k1|
-        assert tag_of(0.0, 100.0) == (4, "42")        # mv >= |d|
-        assert tag_of(0.0, 30.0) == (4, "42p")
-        assert tag_of(0.0, 0.0) == (4, "43")
-
-
-class TestLossFactor:
-    def test_values(self):
-        assert loss_factor(-0.5, 4.0) == pytest.approx(2.0)
-        assert loss_factor(-0.25, 4.0) == pytest.approx(math.sqrt(math.log(5.0)))
-        assert loss_factor(-0.4, 9.0) == pytest.approx(9.0 ** 0.3)
-        with pytest.raises(ValueError):
-            loss_factor(-0.6, 2.0)
-
-
 class TestRatioProbe:
     def test_zero_field_skipped(self):
         rep = ratio_probe(-0.5, 4.0, "u vbar", generator="random", n_trials=2, seed=3)
@@ -264,7 +173,7 @@ class TestRatioProbe:
     def test_adversarial_ratio_bounded_by_loss(self):
         lam = 4.0
         rep = ratio_probe(-0.5, lam, "u vbar", generator="adversarial-omega4", n_trials=3)
-        assert rep.max_ratio < 10.0 * loss_factor(-0.5, lam)
+        assert rep.max_ratio < 10.0 * lam ** 0.5
 
     def test_adversarial_slope_near_half(self):
         sweep = slope_sweep("u vbar", -0.5, lams=(4.0, 16.0, 64.0), n_trials=3)
@@ -283,10 +192,9 @@ class TestRatioProbe:
         assert decoded["kind"] == "u v"
         assert len(decoded["ratios"]) == 2
 
-    def test_per_region_generator_probe(self):
-        rep = ratio_probe(-0.5, 2.0, "u vbar", generator="per-region", n_trials=1)
-        assert len(rep.ratios) == 4
-        assert all(np.isfinite(r) for r in rep.ratios)
+    def test_unknown_generator_rejected(self):
+        with pytest.raises(LatticeError):
+            ratio_probe(-0.5, 2.0, "u vbar", generator="per-region")
 
     def test_real_field_image_is_real_in_physical_space(self, rng):
         # u * conj(u) is real pointwise, so its raw spectrum is conjugate
@@ -299,17 +207,6 @@ class TestRatioProbe:
         raw = _convolve(u.coeff, np.conj(u.coeff)[::-1, ::-1])
         flipped = np.conj(raw[::-1, ::-1])
         assert np.abs(raw - flipped).max() < 1e-12 * np.abs(raw).max()
-
-    def test_per_region_geometries_land_where_aimed(self, rng):
-        pairs = per_region_pairs(4.0, rng)
-        for region, (u, v) in pairs.items():
-            img = bilinear_image(u, v, "u vbar")
-            idx = np.argwhere(np.abs(img.coeff) > 1e-12 * np.abs(img.coeff).max())
-            ks = np.abs(u.lattice.k[idx[:, 1]])
-            if region == 4:
-                assert (ks <= 1.0 + 1e-9).all()
-            if region == 3:
-                assert ks.max() > 1.0
 
 
 class TestL4Ratio:

@@ -42,15 +42,11 @@ class TestMakePhi:
 
     def test_line_variant_interval_mass(self):
         lam, N = 2.0, 8.0
-        phi = make_phi(lam, N, "line", refine=20)
+        phi = make_phi(lam, N, "line")
         mass = np.sum(np.abs(phi.coeff) ** 2) / phi.lattice.lam
         assert mass == pytest.approx(0.2 / lam, rel=0.35)
         # each indicator interval holds at least two refined modes
         assert np.count_nonzero(phi.coeff) >= 4
-
-    def test_line_needs_refinement(self):
-        with pytest.raises(InflationError):
-            make_phi(2.0, 8.0, "line", refine=10)
 
 
 class TestCondN:

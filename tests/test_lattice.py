@@ -153,6 +153,16 @@ class TestSpacetime:
         with pytest.raises(LatticeError):
             SpacetimeSpectrum(lat, np.array([0.0, 1.0, 3.0]), np.zeros((3, lat.modes)))
 
+    def test_freezes_given_arrays_without_copying(self):
+        lat = make_lattice(1.0, 1.0)
+        tau = make_tau_grid(2.0, 1.0)
+        c = np.zeros((tau.size, lat.modes), dtype=np.complex128)
+        u = SpacetimeSpectrum(lat, tau, c)
+        assert np.shares_memory(u.coeff, c)
+        assert np.shares_memory(u.tau, tau)
+        with pytest.raises(ValueError):
+            c[0, 0] = 1
+
 
 class TestTimeTransform:
     def _free_traj(self, lat, coeffs, t):

@@ -5,7 +5,6 @@ import pytest
 
 from gblab.lattice import (
     SpacetimeSpectrum,
-    Trajectory,
     field_from_modes,
     make_lattice,
     make_tau_grid,
@@ -15,7 +14,6 @@ from gblab.norms import (
     NormSpec,
     besov_1d,
     besov_norm,
-    difference_norm,
     dyadic_shells,
     everything,
     h_norm,
@@ -264,51 +262,6 @@ class TestBesov:
         lhs = besov_norm(u, s, bb)
         rhs = besov_1d(a, tau, bb, u.dtau) * besov_1d(b, lat.k, s, 1 / lat.lam)
         assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-class TestDifferenceNorm:
-    def _traj_and_spectrum(self, rng, n_t=512):
-        lat = make_lattice(1.0, 3.0)
-        t = np.linspace(-4.0, 4.0, n_t + 1)
-        envelope = np.exp(-(t**2))
-        base = rng.standard_normal((8, lat.modes)) + 1j * rng.standard_normal((8, lat.modes))
-        # smooth-in-time random field: few low temporal frequencies
-        freqs = np.linspace(0.3, 2.0, 8)
-        rows = np.zeros((t.size, lat.modes), dtype=complex)
-        for f, row in zip(freqs, base):
-            rows += np.outer(np.exp(1j * f * t), row)
-        rows *= envelope[:, None]
-        return Trajectory(lat, t, rows)
-
-    def test_zero(self):
-        lat = make_lattice(1.0, 2.0)
-        t = np.linspace(0.0, 1.0, 33)
-        traj = Trajectory(lat, t, np.zeros((t.size, lat.modes), dtype=complex))
-        assert difference_norm(traj, -0.5, 0.5) == 0.0
-
-    def test_rejects_bad_b(self, rng):
-        traj = self._traj_and_spectrum(rng)
-        with pytest.raises(ValueError):
-            difference_norm(traj, -0.5, 1.0)
-
-    def test_equivalence_band_with_besov(self, rng):
-        # the time-difference form is equivalent to the block-sum form; the
-        # constant must be stable under grid refinement
-        from gblab.lattice import time_transform
-        from gblab.solver import bump_psi
-
-        ratios = {}
-        for n_t in (512, 1024):
-            traj = self._traj_and_spectrum(rng, n_t=n_t)
-            window = lambda x: bump_psi(x / 2.0)
-            tau = make_tau_grid(30.0, 0.25)
-            u = time_transform(traj, window, tau)
-            d = difference_norm(traj, -0.5, 0.5)
-            bnorm = besov_norm(u, -0.5, 0.5)
-            ratios[n_t] = d / bnorm
-        for r in ratios.values():
-            assert 0.05 < r < 20.0
-        assert abs(ratios[1024] - ratios[512]) / ratios[512] < 0.25
 
 
 class TestNormReport:

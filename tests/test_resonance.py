@@ -7,8 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gblab import resonance
 from gblab.resonance import (
@@ -16,15 +14,12 @@ from gblab.resonance import (
     SIDES,
     CountingCase,
     CountingError,
-    ResonancePoint,
     SweepSampler,
     _batched_values,
     _critical_taus,
     cell_measure,
     default_k_values,
     dual_case,
-    l4_identity_check,
-    resonance_fn,
     sup_sweep,
 )
 
@@ -113,62 +108,6 @@ def scan_measure(case, tau, k, j_window=60, coarse=2e-3):
         length = sum(points[i + 1] - points[i] for i in range(0, len(points) - 1, 2))
         total += weight_of(case, k, k1) * length
     return total / lam
-
-
-class TestResonanceFn:
-    def test_u_vbar_zero_output(self):
-        qty, comb = resonance_fn("u vbar", ResonancePoint(0.3, 0.0, -1.2, 5.0))
-        assert qty == 0.0
-
-    def test_u_vbar_worked_example(self):
-        # k=2, k1=3: quantity 2*2*1/3, signed combination 2k(k-k1) = -4
-        qty, comb = resonance_fn("u vbar", ResonancePoint(0.7, 2.0, -3.1, 3.0))
-        assert qty == pytest.approx(4.0 / 3.0)
-        assert comb == pytest.approx(-4.0)
-        assert abs(comb) / 3.0 == pytest.approx(qty)
-
-    def test_ubar_vbar_diagonal(self):
-        qty, _ = resonance_fn("ubar vbar", ResonancePoint(0.0, 0.0, 0.0, 0.0))
-        assert qty == 0.0
-        for n in (1.0, 2.0, 5.0):
-            qty, _ = resonance_fn("ubar vbar", ResonancePoint(0.1, n, -0.4, n))
-            assert qty == pytest.approx(2.0 * n * n / 3.0, rel=1e-12)
-
-    def test_uv_formula(self):
-        qty, comb = resonance_fn("u v", ResonancePoint(1.0, 5.0, 2.0, 2.0))
-        assert qty == pytest.approx(2.0 * 2.0 * 3.0 / 3.0)
-        assert comb == pytest.approx(2.0 * 2.0 * (5.0 - 2.0))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        tau=st.floats(-50, 50),
-        k=st.integers(-8, 8),
-        tau1=st.floats(-50, 50),
-        k1=st.integers(-8, 8),
-        kind=st.sampled_from(["u vbar", "u v", "ubar vbar"]),
-    )
-    def test_lower_bound_holds_identically(self, tau, k, tau1, k1, kind):
-        qty, comb = resonance_fn(kind, ResonancePoint(tau, float(k), tau1, float(k1)))
-        assert abs(comb) >= qty - 1e-12
-
-
-class TestL4Identity:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        tau=st.floats(-100, 100),
-        xi=st.floats(-20, 20),
-        tau1=st.floats(-100, 100),
-        xi1=st.floats(-20, 20),
-    )
-    def test_residual_vanishes(self, tau, xi, tau1, xi1):
-        assert abs(l4_identity_check(tau, xi, tau1, xi1)) < 1e-9
-
-    def test_half_frequency_case(self):
-        # xi1 = xi/2 collapses the square term
-        assert l4_identity_check(3.0, 4.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_origin(self):
-        assert l4_identity_check(7.0, 0.0, 3.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCellMeasure:
