@@ -8,6 +8,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,49 +27,10 @@ TWO_PI = 2.0 * math.pi
 
 KINDS = ("u vbar", "u v", "ubar vbar")
 
-_SPARSE_LIMIT = 64
-
-
-def _populated(coeff: np.ndarray) -> np.ndarray:
-    scale = float(np.abs(coeff).max())
-    if scale == 0.0:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.argwhere(np.abs(coeff) > 1e-15 * scale)
-
-
-def _sparse_convolve(sparse: np.ndarray, dense: np.ndarray, idx) -> np.ndarray:
-    """Convolution truncated to the centered window, accumulating shifted
-    slices of the dense factor; allocates only the output array."""
-    n_tau, modes = dense.shape
-    half_t, half_k = (n_tau - 1) // 2, (modes - 1) // 2
-    win_t0 = n_tau - 1 - half_t  # global index of the output's first row
-    win_k0 = modes - 1 - half_k
-    out = np.zeros((n_tau, modes), dtype=np.complex128)
-    for it, ik in idx:
-        a = sparse[it, ik]
-        r0 = win_t0 - it
-        rr0, rr1 = max(r0, 0), min(r0 + n_tau, n_tau)
-        if rr0 >= rr1:
-            continue
-        c0 = win_k0 - ik
-        cc0, cc1 = max(c0, 0), min(c0 + modes, modes)
-        if cc0 >= cc1:
-            continue
-        out[rr0 - r0 : rr0 - r0 + (rr1 - rr0), cc0 - c0 : cc0 - c0 + (cc1 - cc0)] += (
-            a * dense[rr0:rr1, cc0:cc1]
-        )
-    return out
-
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain 2-d convolution, truncated back to the common centered grid."""
-    idx_a = _populated(a)
-    idx_b = _populated(b)
     n_tau, modes = a.shape
-    if min(idx_a.shape[0], idx_b.shape[0]) <= _SPARSE_LIMIT:
-        if idx_a.shape[0] <= idx_b.shape[0]:
-            return _sparse_convolve(a, b, idx_a)
-        return _sparse_convolve(b, a, idx_b)
     # the linear product sits on slots [0, 4h] per axis and the kept block on
     # [h, 3h]; on pad_size(h) >= 3h + 1 slots no alias reaches the kept block
     h_t, h_k = (n_tau - 1) // 2, (modes - 1) // 2
@@ -79,29 +41,69 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(rows, axis=1)[:, h_k : h_k + modes]
 
 
+def _flip(coeff: np.ndarray) -> np.ndarray:
+    """conj(c)(-tau, -k) on the centered grid."""
+    return np.conj(coeff)[::-1, ::-1]
+
+
+def _flip_cells(cells, shape):
+    """conj(c)(-tau, -k) of a cell list on a centered grid of the given shape."""
+    it, ik, c = cells
+    return shape[0] - 1 - it, shape[1] - 1 - ik, np.conj(c)
+
+
+def _convolve_cells(a, b, shape):
+    """Convolution of two cell lists, one product per pair of cells: products
+    landing off the centered grid are dropped, and products landing on one
+    cell stay separate entries, for from_cells to add up."""
+    (it_a, ik_a, c_a), (it_b, ik_b, c_b) = a, b
+    # offsets from the center add: (i - h) + (j - h) = (i + j - h) - h
+    it = (it_a[:, None] + it_b[None, :] - (shape[0] - 1) // 2).ravel()
+    ik = (ik_a[:, None] + ik_b[None, :] - (shape[1] - 1) // 2).ravel()
+    on = (it >= 0) & (it < shape[0]) & (ik >= 0) & (ik < shape[1])
+    return it[on], ik[on], (c_a[:, None] * c_b[None, :]).ravel()[on]
+
+
 def bilinear_image(
     u: SpacetimeSpectrum, v: SpacetimeSpectrum, kind: str
 ) -> SpacetimeSpectrum:
     """Space-time convolution with the kind's conjugation pattern, then the
-    smoothing multiplier m(k) and the inverse modulation weight <tau+k^2>^-1."""
+    smoothing multiplier m(k) and the inverse modulation weight <tau+k^2>^-1.
+
+    When both inputs carry a cell list the image is summed pair by pair and
+    carries its own; otherwise it is a padded FFT product on the grid."""
     if kind not in KINDS:
         raise LatticeError(f"unknown bilinear kind {kind}")
     if not u.lattice.same_grid(v.lattice) or u.tau.shape != v.tau.shape:
         raise LatticeError("bilinear image needs matching grids")
     if abs(u.dtau - v.dtau) > 1e-12 * u.dtau:
         raise LatticeError("bilinear image needs matching tau spacings")
-    scale = u.dtau / (TWO_PI * u.lattice.lam)
+    shape = u.coeff.shape
+    cells = u._cells is not None and v._cells is not None
+    if cells:
+        a, b = u._cells, v._cells
+        conv, flip = partial(_convolve_cells, shape=shape), partial(_flip_cells, shape=shape)
+    else:
+        a, b, conv, flip = u.coeff, v.coeff, _convolve, _flip
     if kind == "u v":
-        raw = _convolve(u.coeff, v.coeff)
+        raw = conv(a, b)
     elif kind == "ubar vbar":
-        raw = np.conj(_convolve(u.coeff, v.coeff))[::-1, ::-1]
+        raw = flip(conv(a, b))
     else:
         # cross term: sum over x of u[x] conj(v[x - d]) = conv(u, flip(conj v))
-        raw = _convolve(u.coeff, np.conj(v.coeff)[::-1, ::-1])
-    raw = raw * scale
-    m = omega_multiplier(u.lattice)
-    mod = np.sqrt(1.0 + (u.tau[:, None] + (u.lattice.k ** 2)[None, :]) ** 2)
-    return u.with_coeff(raw * m[None, :] / mod)
+        raw = conv(a, flip(b))
+    if cells:
+        it, ik, raw = raw
+        tau = u.tau[it]
+    else:
+        tau, ik = u.tau[:, None], np.arange(shape[1])
+    k = u.lattice.k[ik]
+    scale = u.dtau / (TWO_PI * u.lattice.lam)
+    img = raw * scale * omega_multiplier(u.lattice)[ik] / np.sqrt(1.0 + (tau + k * k) ** 2)
+    if cells:
+        # the weights are per cell, so from_cells may add the weighted products
+        return SpacetimeSpectrum.from_cells(u.lattice, u.tau, it, ik, img)
+    return u.with_coeff(img)
 
 
 def _probe_grids(lam: float, generator: str):
@@ -122,17 +124,17 @@ def _probe_grids(lam: float, generator: str):
 
 def _cluster(lattice, tau, center_k, rng, n_cells=3, amp=1.0):
     """A few unit cells hugging the dispersive curve near center_k."""
-    coeff = np.zeros((tau.size, lattice.modes), dtype=np.complex128)
+    it, ik, values = [], [], []
     j0 = round(center_k * lattice.lam)
     for step in range(n_cells):
         j = j0 + step
         if abs(j) > lattice.half_modes:
             continue
         k = j / lattice.lam
-        i_tau = int(np.argmin(np.abs(tau + k * k)))
-        phase = rng.uniform(0.0, TWO_PI)
-        coeff[i_tau, j + lattice.half_modes] = amp * np.exp(1j * phase)
-    return SpacetimeSpectrum(lattice, tau, coeff)
+        it.append(int(np.argmin(np.abs(tau + k * k))))
+        ik.append(j + lattice.half_modes)
+        values.append(amp * np.exp(1j * rng.uniform(0.0, TWO_PI)))
+    return SpacetimeSpectrum.from_cells(lattice, tau, it, ik, values)
 
 
 def _dense_random(lattice, tau, rng, n_bumps=6):

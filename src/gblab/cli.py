@@ -2,8 +2,8 @@
 INI-style configuration, deterministic seeded runs, and manifest emission.
 
 Exit codes: 0 all checks pass, 1 a contractual assertion failed (a scientific
-finding), 2 usage or configuration error, 3 internal consistency failure
-(independent evaluation paths disagreed)."""
+finding), 2 usage or configuration error, 3 internal fault (any other
+exception, such as independent evaluation paths that disagreed)."""
 
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ from .resonance import (
     write_sweep_csv,
 )
 from .solver import (
-    InternalConsistencyError,
     PicardDivergenceError,
     SolverConfig,
     picard_solve,
@@ -592,8 +591,8 @@ def main(argv=None) -> int:
     except (ConfigError, InflationError, LatticeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,11 +166,37 @@ def inverse_transform(field: SpectralField, n: int | None = None) -> np.ndarray:
 class SpacetimeSpectrum:
     """Space-time Fourier data u~(tau, k) on a uniform symmetric tau grid.
 
-    The given arrays are frozen in place, not copied."""
+    The given arrays are frozen in place, not copied.  A spectrum built by
+    `from_cells` also keeps its cell list (tau index, k index, value), which
+    the bilinear image and `ws_norm` sum over instead of the grid."""
 
     lattice: FrequencyLattice
     tau: np.ndarray
     coeff: np.ndarray
+    _cells: tuple | None = field(default=None, init=False)
+
+    @classmethod
+    def from_cells(cls, lattice, tau, it, ik, values) -> "SpacetimeSpectrum":
+        """Spectrum that is zero off the given cells; values on a repeated
+        cell add up.  The dense grid comes from np.zeros, whose pages are
+        not resident until touched."""
+        tau = np.asarray(tau, dtype=np.float64)
+        it = np.ravel(np.asarray(it, dtype=np.int64))
+        ik = np.ravel(np.asarray(ik, dtype=np.int64))
+        modes = lattice.modes
+        if it.size and (min(it.min(), ik.min()) < 0 or it.max() >= tau.size or ik.max() >= modes):
+            raise LatticeError("cell index outside the (n_tau, modes) grid")
+        flat, where = np.unique(it * modes + ik, return_inverse=True)
+        summed = np.zeros(flat.size, dtype=np.complex128)
+        np.add.at(summed, where, np.ravel(values))
+        coeff = np.zeros((tau.size, modes), dtype=np.complex128)
+        coeff.flat[flat] = summed
+        cells = (flat // modes, flat % modes, summed)
+        for a in cells:
+            a.setflags(write=False)
+        spec = cls(lattice, tau, coeff)
+        object.__setattr__(spec, "_cells", cells)
+        return spec
 
     def __post_init__(self):
         t = np.asarray(self.tau, dtype=np.float64)

@@ -183,35 +183,47 @@ def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float
     gain (X^{s+1,0}) at high modulation, L1-in-tau control at very high
     modulation, and at s = -1/2 an l1 sum over dyadic modulation shells.
 
-    Single pass over the grid; equivalent to projecting with the region
+    One pass over the spectrum's cells: its cell list when it has one, the
+    whole grid otherwise.  Equivalent to projecting with the region
     predicates and summing the corresponding component norms.
     """
     if not (-0.5 <= s <= -0.25):
         raise ValueError("ws_norm requires -1/2 <= s <= -1/4")
-    k = u.lattice.k
+    if u._cells is None:
+        tau, ik, c = u.tau[:, None], np.arange(u.lattice.modes), u.coeff
+    else:
+        it, ik, c = u._cells
+        tau = u.tau[it]
+    # tau, ik and c broadcast against each other: (n_tau, 1), (modes,) and the
+    # grid for a dense spectrum, three gathered 1-d arrays for a cell list
+    absc = np.abs(c)
+    k = u.lattice.k[ik]
     brk = _bracket(k)
-    mod = _bracket(u.tau[:, None] + (k * k)[None, :])
-    a2 = np.abs(u.coeff) ** 2
+    mod = _bracket(tau + k * k)
+    a2 = absc**2
     meas = u.dtau / u.lattice.lam
-    mask_low = mod <= brk[None, :]
+    mask_low = mod <= brk
     wk_s = brk ** (2.0 * s)
-    x_low = math.sqrt(float(np.sum((a2 * mod**2)[mask_low] * np.broadcast_to(wk_s[None, :], a2.shape)[mask_low])) * meas)
-    mask_very = mod > MUCH_GREATER * (brk**2)[None, :]
-    l1 = np.sum(np.abs(u.coeff) * mask_very, axis=0) * u.dtau
-    y_very = math.sqrt(float(np.sum(wk_s * l1**2)) / u.lattice.lam)
+    x_low = math.sqrt(float(np.sum((a2 * mod**2)[mask_low] * np.broadcast_to(wk_s, a2.shape)[mask_low])) * meas)
+    mask_very = mod > MUCH_GREATER * brk**2
+    # per-k l1 in tau: sum out the grid's tau axis (a cell list has none),
+    # then add up by k index
+    very = np.sum(absc * mask_very, axis=tuple(range(absc.ndim - 1)))
+    l1 = np.bincount(ik, weights=very, minlength=u.lattice.modes) * u.dtau
+    wk_all = _bracket(u.lattice.k) ** (2.0 * s)
+    y_very = math.sqrt(float(np.sum(wk_all * l1**2)) / u.lattice.lam)
     if s > -0.5:
-        wk_s1 = brk ** (2.0 * (s + 1.0))
         x_high = math.sqrt(
-            float(np.sum((a2 * ~mask_low) * wk_s1[None, :])) * meas
+            float(np.sum((a2 * ~mask_low) * brk ** (2.0 * (s + 1.0)))) * meas
         )
         return x_low + x_high + y_very
-    mask_tail = mod > (brk**2)[None, :]
+    mask_tail = mod > brk**2
     mask_mid = ~mask_low & ~mask_tail
-    x_mid = math.sqrt(float(np.sum((a2 * mask_mid) * brk[None, :])) * meas)
+    x_mid = math.sqrt(float(np.sum((a2 * mask_mid) * brk)) * meas)
     # dyadic shells [M, 2M) on the tail, l1 in M up to the cap
     if m_max is None:
         m_max = grid_mod_cap(u)
-    tail_w = (a2 * brk[None, :])[mask_tail]
+    tail_w = (a2 * brk)[mask_tail]
     if tail_w.size:
         midx = np.floor(np.log2(mod[mask_tail])).astype(np.int64)
         keep = midx <= math.floor(math.log2(m_max))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,9 +69,9 @@ def brute_force_image(u, v, kind):
     return out * m[None, :] / mod
 
 
-# (id suffix, K, tau_max) at lam = 1 and dtau = 1: 9x7 = 63 cells is within the
-# sparse limit (64); the larger grids take the padded FFT product, 11x11 pads
-# each axis to exactly 3h + 1 = 16 (a pad of 3h aliases), 9x13 to 16 and 32
+# (id suffix, K, tau_max) at lam = 1 and dtau = 1, all through the padded FFT
+# product: 11x11 pads each axis to exactly 3h + 1 = 16 (a pad of 3h aliases),
+# 9x13 to 16 and 32
 _ORACLE_GRIDS = [("", 3.0, 3.5), ("-11x11-tight", 5.0, 5.0), ("-9x13", 6.0, 4.0)]
 
 
@@ -84,22 +88,21 @@ class TestBilinearImage:
     def test_delta_convolution_single_cells(self):
         lat = make_lattice(1.0, 3.0)
         tau = make_tau_grid(6.0, 1.0)
-        a = np.zeros((tau.size, lat.modes), dtype=complex)
-        b = np.zeros_like(a)
-        a[np.argmin(np.abs(tau - 2.0)), lat.index_of(1.0)] = 2.0
-        b[np.argmin(np.abs(tau + 1.0)), lat.index_of(2.0)] = 3.0j
-        u = SpacetimeSpectrum(lat, tau, a)
-        v = SpacetimeSpectrum(lat, tau, b)
+        u = SpacetimeSpectrum.from_cells(lat, tau, [np.argmin(np.abs(tau - 2.0))], [lat.index_of(1.0)], [2.0])
+        v = SpacetimeSpectrum.from_cells(lat, tau, [np.argmin(np.abs(tau + 1.0))], [lat.index_of(2.0)], [3.0j])
         img = bilinear_image(u, v, "u v")
         # single output cell at (tau, k) = (1, 3) with the normalized product
         it = int(np.argmin(np.abs(tau - 1.0)))
         jk = lat.index_of(3.0)
-        mask = np.zeros_like(a, dtype=bool)
+        mask = np.zeros(u.coeff.shape, dtype=bool)
         mask[it, jk] = True
         m = 9.0 / 10.0
         expected = 2.0 * 3.0j * (u.dtau / (TWO_PI * lat.lam)) * m / math.sqrt(1 + (1 + 9) ** 2)
         assert img.coeff[it, jk] == pytest.approx(expected, rel=1e-12)
         assert np.abs(img.coeff[~mask]).max() == 0.0
+        # the same cells on dense grids take the FFT product
+        dense = bilinear_image(u.with_coeff(u.coeff), v.with_coeff(v.coeff), "u v")
+        assert np.abs(dense.coeff - img.coeff).max() < 1e-12 * abs(expected)
 
     @pytest.mark.parametrize(
         "kind, K, tau_max",
@@ -123,14 +126,28 @@ class TestBilinearImage:
     def test_sparse_path_matches_dense(self, kind, rng):
         lat = make_lattice(1.0, 3.0)
         tau = make_tau_grid(3.5, 1.0)
-        sparse_coeff = np.zeros((tau.size, lat.modes), dtype=complex)
-        sparse_coeff[2, 1] = 1.0 - 0.5j
-        sparse_coeff[5, 4] = 0.3j
-        u = SpacetimeSpectrum(lat, tau, sparse_coeff)
-        v = random_spectrum(lat, tau, rng)
+        # u and v both step by (3, 3) between two of their cells, so two pairs
+        # land on one output cell for every kind; v's corner cells push
+        # products off the 9x7 grid
+        u = SpacetimeSpectrum.from_cells(lat, tau, [2, 5, 0], [1, 4, 6], [1.0 - 0.5j, 0.3j, -0.7])
+        v_it, v_ik = [1, 4, 8, 0, 3], [2, 5, 6, 0, 3]
+        v_c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        v = SpacetimeSpectrum.from_cells(lat, tau, v_it, v_ik, v_c)
         got = bilinear_image(u, v, kind)
         want = brute_force_image(u, v, kind)
-        assert np.abs(got.coeff - want).max() < 1e-10 * max(np.abs(want).max(), 1e-30)
+        assert np.abs(got.coeff - want).max() < 1e-12 * np.abs(want).max()
+        # the image carries a cell list that matches its grid
+        it, ik, c = got._cells
+        assert np.array_equal(got.coeff[it, ik], c)
+        assert np.count_nonzero(got.coeff) == np.count_nonzero(c)
+
+    def test_cell_products_all_off_the_grid(self):
+        lat = make_lattice(1.0, 2.0)
+        tau = make_tau_grid(3.0, 1.0)
+        corner = SpacetimeSpectrum.from_cells(lat, tau, [tau.size - 1], [lat.modes - 1], [1.0])
+        img = bilinear_image(corner, corner, "u v")
+        assert img._cells[0].size == 0 and not img.coeff.any()
+        assert ws_norm(img, -0.5) == 0.0 and ws_norm(img, -0.25) == 0.0
 
     def test_scaling_invariance_of_ratio(self, rng):
         lat = make_lattice(2.0, 3.0)
@@ -183,6 +200,28 @@ class TestRatioProbe:
     def test_no_loss_kinds_flat(self, kind):
         sweep = slope_sweep(kind, -0.5, lams=(4.0, 16.0, 64.0), generator="random", n_trials=3)
         assert -0.2 <= sweep["slope"] <= 0.2
+
+    def test_adversarial_probe_memory_is_bounded_at_lambda_64(self):
+        # each 3201 x 5377 grid at lambda = 64 is 263 MiB: the probe must
+        # touch only its cells, never whole grids
+        # VmHWM is the peak of this address space alone; ru_maxrss would also
+        # count the forking test process, whose pages the child held until exec
+        script = """
+from gblab.bilinear_probe import ratio_probe
+rep = ratio_probe(-0.5, 64.0, "u vbar", generator="adversarial-omega4", n_trials=1)
+assert len(rep.ratios) == 1
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < 200.0
 
     def test_report_json_round_trip(self):
         import json

@@ -127,6 +127,21 @@ class TestVerify:
         manifest = json.loads((out / "manifest.json").read_text())
         assert not manifest["checks"]["counting_duality_exact"]["passed"]
 
+    def test_internal_fault_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        import gblab.bilinear_probe as bp
+
+        def broken(u, v, kind):
+            raise RuntimeError("image failed\nsecond line")
+
+        monkeypatch.setattr(bp, "bilinear_image", broken)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[bilinear]\nlambdas = 4,16\nn_trials = 1\n")
+        rc = run(["verify", "--suite", "bilinear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "RuntimeError" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestKendallTauB:
     def test_matches_scipy_with_ties_in_both_variables(self):
@@ -155,7 +170,7 @@ def test_runs_without_scipy(tmp_path):
 import sys
 sys.modules["scipy"] = None
 import numpy as np
-from gblab.bilinear_probe import _SPARSE_LIMIT, bilinear_image
+from gblab.bilinear_probe import bilinear_image
 from gblab.cli import main
 from gblab.lattice import SpacetimeSpectrum, make_lattice, make_tau_grid
 
@@ -164,7 +179,6 @@ argv = ["verify", "--suite", "counting", "--suite", "l4", "--config", {str(cfg)!
 assert main(argv) == 0
 lat = make_lattice(1.0, 5.0)
 tau = make_tau_grid(5.0, 1.0)
-assert tau.size * lat.modes > _SPARSE_LIMIT
 u = SpacetimeSpectrum(lat, tau, np.ones((tau.size, lat.modes), dtype=complex))
 assert np.isfinite(bilinear_image(u, u, "u vbar").coeff).all()
 """

@@ -163,6 +163,24 @@ class TestSpacetime:
         with pytest.raises(ValueError):
             c[0, 0] = 1
 
+    def test_from_cells_fills_the_grid_and_adds_repeated_cells(self):
+        lat = make_lattice(1.0, 2.0)
+        tau = make_tau_grid(3.0, 1.0)
+        u = SpacetimeSpectrum.from_cells(lat, tau, [6, 0, 6, 3], [4, 0, 4, 2], [1.0, 2j, 0.5j, -3.0])
+        want = np.zeros((tau.size, lat.modes), dtype=complex)
+        want[6, 4], want[0, 0], want[3, 2] = 1.0 + 0.5j, 2j, -3.0
+        assert np.array_equal(u.coeff, want)
+        it, ik, c = u._cells
+        assert sorted(zip(it, ik)) == [(0, 0), (3, 2), (6, 4)]
+        assert np.array_equal(u.coeff[it, ik], c)
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+        assert u.with_coeff(u.coeff)._cells is None
+        assert SpacetimeSpectrum(lat, tau, want)._cells is None
+        for it, ik in (([7], [0]), ([0], [5]), ([-1], [0]), ([0], [-1])):
+            with pytest.raises(LatticeError):
+                SpacetimeSpectrum.from_cells(lat, tau, it, ik, [1.0])
+
 
 class TestTimeTransform:
     def _free_traj(self, lat, coeffs, t):

@@ -16,6 +16,7 @@ from gblab.norms import (
     besov_norm,
     dyadic_shells,
     everything,
+    grid_mod_cap,
     h_norm,
     k_band,
     lp_bump,
@@ -234,6 +235,75 @@ class TestWsNorm:
             ws_norm(u, -0.2)
         with pytest.raises(ValueError):
             ws_norm(u, -0.6)
+
+    @pytest.mark.parametrize("m_max", [None, 8.0])
+    @pytest.mark.parametrize("s", [-0.5, -0.375, -0.25])
+    def test_cell_path_matches_dense_oracle(self, s, m_max, rng):
+        lat = make_lattice(2.0, 3.0)
+        tau = make_tau_grid(60.0, 0.5)
+        # whole columns at k = 0, 1.5, 3 plus scattered cells elsewhere
+        cols = [lat.index_of(0.0), lat.index_of(1.5), lat.index_of(3.0)]
+        it = np.concatenate([np.tile(np.arange(tau.size), 3), rng.integers(0, tau.size, 100)])
+        ik = np.concatenate([np.repeat(cols, tau.size), rng.integers(0, lat.modes, 100)])
+        values = (rng.standard_normal(it.size) + 1j * rng.standard_normal(it.size)) * rng.uniform(0.1, 3.0, it.size)
+        u = SpacetimeSpectrum.from_cells(lat, tau, it, ik, values)
+        # every region of the glued norm holds cells
+        c_it, c_ik, _ = u._cells
+        k = lat.k[c_ik]
+        brk = np.sqrt(1.0 + k * k)
+        mod = np.sqrt(1.0 + (tau[c_it] + k * k) ** 2)
+        assert (mod <= brk).any() and ((mod > brk) & (mod <= brk**2)).any()
+        shells = np.floor(np.log2(mod[mod > brk**2])).astype(int)
+        assert set(shells) == set(range(shells.max() + 1))
+        assert np.bincount(c_ik[mod > 4.0 * brk**2]).max() >= 2
+        want = _dense_ws_norm(u, s, m_max)
+        assert ws_norm(u, s, m_max) == pytest.approx(want, rel=1e-12)
+        assert ws_norm(u.with_coeff(u.coeff), s, m_max) == want
+
+    @pytest.mark.parametrize("m_max", [None, 16.0])
+    @pytest.mark.parametrize("s", [-0.5, -0.375, -0.25])
+    def test_dense_and_cell_paths_match_oracle_on_random_grids(self, s, m_max, rng):
+        lat = make_lattice(2.0, 4.0)
+        tau = make_tau_grid(40.0, 0.5)
+        for _ in range(3):
+            u = random_spectrum(lat, tau, rng, k_decay=0.5, mod_decay=0.5)
+            want = _dense_ws_norm(u, s, m_max)
+            assert ws_norm(u, s, m_max) == want
+            it, ik = np.indices(u.coeff.shape)
+            cells = SpacetimeSpectrum.from_cells(lat, tau, it, ik, u.coeff)
+            assert ws_norm(cells, s, m_max) == pytest.approx(want, rel=1e-12)
+
+
+def _dense_ws_norm(u, s, m_max=None):
+    """The glued norm summed over the whole grid with boolean region masks,
+    as ws_norm computed it before spectra carried cell lists."""
+    k = u.lattice.k
+    brk = np.sqrt(1.0 + k * k)
+    mod = np.sqrt(1.0 + (u.tau[:, None] + (k * k)[None, :]) ** 2)
+    a2 = np.abs(u.coeff) ** 2
+    meas = u.dtau / u.lattice.lam
+    mask_low = mod <= brk[None, :]
+    wk_s = brk ** (2.0 * s)
+    x_low = math.sqrt(float(np.sum((a2 * mod**2)[mask_low] * np.broadcast_to(wk_s[None, :], a2.shape)[mask_low])) * meas)
+    mask_very = mod > 4.0 * (brk**2)[None, :]
+    l1 = np.sum(np.abs(u.coeff) * mask_very, axis=0) * u.dtau
+    y_very = math.sqrt(float(np.sum(wk_s * l1**2)) / u.lattice.lam)
+    if s > -0.5:
+        wk_s1 = brk ** (2.0 * (s + 1.0))
+        x_high = math.sqrt(float(np.sum((a2 * ~mask_low) * wk_s1[None, :])) * meas)
+        return x_low + x_high + y_very
+    mask_tail = mod > (brk**2)[None, :]
+    mask_mid = ~mask_low & ~mask_tail
+    x_mid = math.sqrt(float(np.sum((a2 * mask_mid) * brk[None, :])) * meas)
+    if m_max is None:
+        m_max = grid_mod_cap(u)
+    tail_w = (a2 * brk[None, :])[mask_tail]
+    if not tail_w.size:
+        return x_low + x_mid + y_very
+    midx = np.floor(np.log2(mod[mask_tail])).astype(np.int64)
+    keep = midx <= math.floor(math.log2(m_max))
+    sums = np.bincount(midx[keep], weights=tail_w[keep])
+    return x_low + x_mid + float(np.sum(np.sqrt(sums * meas))) + y_very
 
 
 class TestBesov:
