@@ -16,14 +16,13 @@ from .lattice import (
     LatticeError,
     SpectralField,
     Trajectory,
-    forward_transform,
-    inverse_rows,
     pad_size,
 )
 from .reduction import omega_multiplier
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _ROW_CHUNK = 256  # rows per padded transform in nonlinearity_rows
+_PLAN_CAP = 16  # product plans kept, one per (half_modes, lattice lam, lam)
 _DIVERGENCE_PATIENCE = 3  # consecutive non-contracting Picard steps tolerated
 _LOCAL_ERROR_CAP = 1e-8  # reference_solve's step-doubling budget, relative to max |v|
 _A2_RTOL = 1e-8  # relative l2 agreement required of a2_iterate's two paths
@@ -93,6 +92,31 @@ def free_trajectory(u0: SpectralField, t: np.ndarray) -> Trajectory:
     return Trajectory(u0.lattice, np.asarray(t, dtype=np.float64), coeff)
 
 
+_plans: dict = {}
+
+
+def _product_plan(lattice: FrequencyLattice, lam: float) -> tuple:
+    """(pad n, multiplier on j >= 0) of the quadratic term on this lattice.
+
+    With lam_L the lattice's own lam, the n samples of u + conj u are
+    n / (sqrt(2 pi) lam_L) irfft(w) and the forward transform scales by
+    sqrt(2 pi) lam_L / n, so the square's modes are
+    n / (sqrt(2 pi) lam_L) rfft(irfft(w)^2); that scale and the -1/4 go into
+    omega^2's multiplier.  Built on first use; the _PLAN_CAP latest are kept.
+    """
+    key = (lattice.half_modes, lattice.lam, lam)
+    plan = _plans.get(key)
+    if plan is None:
+        J = lattice.half_modes
+        n = pad_size(J)
+        mult = omega_multiplier(lattice, lam)[J:] * (-0.25 * n / (SQRT_TWO_PI * lattice.lam))
+        mult.setflags(write=False)
+        if len(_plans) >= _PLAN_CAP:
+            del _plans[next(iter(_plans))]
+        plan = _plans[key] = (n, mult)
+    return plan
+
+
 def nonlinearity_rows(
     rows: np.ndarray,
     lattice: FrequencyLattice,
@@ -100,21 +124,34 @@ def nonlinearity_rows(
     include_linear: bool = True,
     include_quadratic: bool = True,
 ) -> np.ndarray:
-    """Vectorized right-hand side over stacked spectra (rows x modes)."""
+    """Vectorized right-hand side over stacked spectra (rows x modes).
+
+    u + conj u is real, so its square takes real transforms of the j >= 0
+    half of its spectrum, and the square's modes -J..-1 are the conjugates
+    of its modes 1..J.  Temporaries span _ROW_CHUNK rows at most.
+    """
     rows = np.atleast_2d(rows)
-    out = np.zeros_like(rows)
-    if include_linear:
-        # (u - conj u) on the spectral side: u_hat(k) - conj(u_hat(-k))
-        out += (rows - np.conj(rows[:, ::-1])) / (2.0 * lam * lam)
+    out = np.empty(rows.shape, dtype=np.complex128)
+    J = lattice.half_modes
     if include_quadratic:
-        m = omega_multiplier(lattice, lam)
-        n_pad = pad_size(lattice.half_modes)
-        for lo in range(0, rows.shape[0], _ROW_CHUNK):
-            sl = slice(lo, min(lo + _ROW_CHUNK, rows.shape[0]))
-            w = rows[sl] + np.conj(rows[sl, ::-1])  # spectrum of u + conj(u)
-            phys = inverse_rows(w, lattice, n_pad)
-            sq = forward_transform(phys * phys, lattice)
-            out[sl] -= 0.25 * m[None, :] * sq
+        n, mult = _product_plan(lattice, lam)
+    for lo in range(0, rows.shape[0], _ROW_CHUNK):
+        r = rows[lo : lo + _ROW_CHUNK]
+        o = out[lo : lo + _ROW_CHUNK]
+        if include_linear:
+            # (u - conj u) on the spectral side: u_hat(k) - conj(u_hat(-k))
+            np.subtract(r, np.conj(r[:, ::-1]), out=o)
+            o /= 2.0 * lam * lam
+        else:
+            o.fill(0.0)
+        if include_quadratic:
+            w = r[:, J:] + np.conj(r[:, J::-1])  # spectrum of u + conj(u), j >= 0
+            phys = np.fft.irfft(w, n, axis=-1)
+            phys *= phys
+            sq = np.fft.rfft(phys, axis=-1)[:, : J + 1]
+            sq *= mult
+            o[:, J:] += sq
+            o[:, :J] += np.conj(sq[:, J:0:-1])
     return out
 
 
@@ -159,38 +196,47 @@ def duhamel(F: Trajectory, t: float) -> SpectralField:
     return SpectralField(F.lattice, np.conj(phases[i1]) * rows[i1])
 
 
-def _cumulative_simpson(G: np.ndarray, h: float) -> np.ndarray:
-    """Prefix integrals I[m] = int_{t_0}^{t_m} G dt, fourth-order consistent.
+def _cumulative_simpson(G: np.ndarray, h: float, I: np.ndarray) -> None:
+    """Prefix integrals I[m] = int_{t_0}^{t_m} G dt, fourth-order consistent,
+    written into I (which may be a strided view).
 
     Even prefixes use composite Simpson pairs; odd prefixes add the 3-point
-    Newton-Cotes correction for the trailing interval.
+    Newton-Cotes correction for the trailing interval.  The only scratch is
+    one array of half G's rows.
     """
     n = G.shape[0]
-    I = np.zeros_like(G)
+    I[0] = 0.0
     if n < 2:
-        return I
+        return
     if n == 2:
         I[1] = 0.5 * h * (G[0] + G[1])
-        return I
-    pair = (h / 3.0) * (G[:-2:2] + 4.0 * G[1:-1:2] + G[2::2])
-    I[2::2] = np.cumsum(pair, axis=0)
-    # odd m: the interval (m-1, m) through the quadratic on (m-1, m, m+1) ...
+        return
     p = 2 * ((n - 1) // 2)
-    I[1:p:2] = I[0 : p - 1 : 2] + (h / 12.0) * (
-        -G[2::2] + 8.0 * G[1:p:2] + 5.0 * G[0 : p - 1 : 2]
-    )
+    buf = 4.0 * G[1:p:2]
+    buf += G[: p - 1 : 2]
+    buf += G[2::2]
+    buf *= h / 3.0
+    np.cumsum(buf, axis=0, out=I[2::2])
+    # odd m: the interval (m-1, m) through the quadratic on (m-1, m, m+1) ...
+    np.multiply(G[1:p:2], 8.0, out=buf)
+    buf -= G[2::2]
+    np.multiply(G[: p - 1 : 2], 5.0, out=I[1:p:2])
+    buf += I[1:p:2]
+    buf *= h / 12.0
+    np.add(I[: p - 1 : 2], buf, out=I[1:p:2])
     if n % 2 == 0:
         # ... or, on the last row, through the quadratic on (m-2, m-1, m)
         I[-1] = I[-2] + (h / 12.0) * (-G[-3] + 8.0 * G[-2] + 5.0 * G[-1])
-    return I
 
 
 def _prefix_integrals(G: np.ndarray, i0: int, h: float) -> np.ndarray:
     """Signed integrals int_{t_i0}^{t_m} G dt for every row m of G."""
-    out = np.zeros_like(G)
-    out[i0:] = _cumulative_simpson(G[i0:], h)
+    out = np.empty_like(G)
+    _cumulative_simpson(G[i0:], h, out[i0:])
     if i0 > 0:
-        out[:i0] = -_cumulative_simpson(G[i0::-1], h)[:0:-1]
+        # rows i0, i0-1, ..., 0 integrate backwards in time
+        _cumulative_simpson(G[i0::-1], h, out[i0::-1])
+        np.negative(out[:i0], out=out[:i0])
     return out
 
 
@@ -207,20 +253,26 @@ def _picard_map(
     out = _prefix_integrals(out, i0, cfg.dt)
     out *= -1j
     out += u0.coeff[None, :]
-    out *= np.conj(phases)  # back from the interaction picture
+    # back from the interaction picture: x conj(p) = conj(conj(x) p)
+    np.conjugate(out, out=out)
+    out *= phases
+    np.conjugate(out, out=out)
     return out
 
 
 def _sup_hs(rows: np.ndarray, lattice: FrequencyLattice, cfg: SolverConfig) -> float:
     """Largest H^s norm over the rows of a trajectory."""
     w = (1.0 + lattice.k ** 2) ** cfg.s
-    return float(np.sqrt(np.sum(w[None, :] * np.abs(rows) ** 2, axis=1) / cfg.lam).max())
+    sq = np.einsum("ij,ij,j->i", rows.real, rows.real, w)
+    sq += np.einsum("ij,ij,j->i", rows.imag, rows.imag, w)
+    return float(np.sqrt(sq / cfg.lam).max())
 
 
 def integral_residual(traj: Trajectory, u0: SpectralField, cfg: SolverConfig) -> float:
     """Sup-in-time H^s norm of u - Phi(u), with the Picard iteration's own Phi."""
     phases = _phases(traj.t, traj.lattice)
-    defect = traj.coeff - _picard_map(traj.coeff, u0, phases, traj.index_of_time(0.0), cfg)
+    defect = _picard_map(traj.coeff, u0, phases, traj.index_of_time(0.0), cfg)
+    defect -= traj.coeff  # Phi(u) - u: the sign leaves the norm unchanged
     return _sup_hs(defect, traj.lattice, cfg)
 
 
@@ -246,8 +298,12 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     Raises PicardDivergenceError after _DIVERGENCE_PATIENCE consecutive
     non-contracting steps; large data is expected to do this.
 
-    Memory discipline: on big grids the loop holds one persistent phase array
-    and recycles the iterate buffers instead of building trajectories per step.
+    Memory: at its peak, inside the Picard map's prefix integrals, the loop
+    holds six rows x modes complex arrays (the phases e^{+i k^2 t}, the
+    current iterate, the first two iterates kept for the result, the
+    nonlinearity rows in the interaction picture and their prefix integrals)
+    and half of one more as Simpson scratch.  The nonlinearity's own
+    temporaries span _ROW_CHUNK rows; the final residual pass holds no more.
     """
     if u0.lattice.lam < cfg.lam:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
@@ -255,7 +311,8 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     lattice = u0.lattice
     i0 = int(np.argmin(np.abs(t)))
     phases = _phases(t, lattice)  # held across iterations
-    current = np.conj(phases) * u0.coeff[None, :]
+    current = np.conj(phases)
+    current *= u0.coeff[None, :]
     scale = max(_sup_hs(current, lattice, cfg), 1e-300)
     iterates = []
     ratios: list = []

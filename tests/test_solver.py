@@ -1,8 +1,15 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gblab
 from gblab.illposedness import make_phi
 from gblab.lattice import (
     SpectralField,
@@ -24,6 +31,7 @@ from gblab.solver import (
     free_trajectory,
     integral_residual,
     nonlinearity,
+    nonlinearity_rows,
     phase_integral,
     picard_solve,
     reference_solve,
@@ -47,6 +55,18 @@ def brute_force_product_spectrum(f_coeff, g_coeff, lattice):
             acc += f_coeff[j1 + J] * g_coeff[j - j1 + J]
         out[j + J] = acc
     return out / (SQRT_TWO_PI * lattice.lam)
+
+
+def nonlinearity_oracle(u, lattice, lam, include_linear=True, include_quadratic=True):
+    """F(u) on one spectrum, its square through the convolution oracle."""
+    mirror = np.conj(u[::-1])  # spectrum of conj(u)
+    out = np.zeros(lattice.modes, dtype=complex)
+    if include_linear:
+        out += (u - mirror) / (2.0 * lam * lam)
+    if include_quadratic:
+        w = u + mirror
+        out -= 0.25 * omega_multiplier(lattice, lam) * brute_force_product_spectrum(w, w, lattice)
+    return out
 
 
 class TestBump:
@@ -116,16 +136,40 @@ class TestNonlinearity:
         assert np.abs(np.delete(out.coeff, lat.index_of(0.0))).max() < 1e-14
 
     # J = 6, then J = 5 and J = 21, where 3J + 1 is a power of two and the
-    # padded grid has no point to spare
-    @pytest.mark.parametrize("lam, K", [(2.0, 3.0), (1.0, 5.0), (1.0, 21.0)],
-                             ids=["J6", "J5", "J21"])
-    def test_against_brute_force_convolution(self, rng, lam, K):
-        lat = make_lattice(lam, K)
-        u = random_field(lat, rng)
-        w = u.coeff + np.conj(u.coeff[::-1])
-        oracle = -0.25 * omega_multiplier(lat) * brute_force_product_spectrum(w, w, lat)
-        got = nonlinearity(u, lam, include_linear=False)
-        assert np.abs(got.coeff - oracle).max() < 1e-12 * max(1.0, np.abs(oracle).max())
+    # padded grid has no point to spare; 300 rows cross the 256-row chunk;
+    # lam below the lattice's own is the line emulation's refined grid
+    @pytest.mark.parametrize(
+        "lattice_lam, K, lam, n_rows, include_linear, include_quadratic",
+        [
+            (2.0, 3.0, 2.0, 1, False, True),
+            (1.0, 5.0, 1.0, 1, False, True),
+            (1.0, 21.0, 1.0, 1, False, True),
+            (1.0, 3.0, 1.0, 300, True, True),
+            (8.0, 1.0, 2.0, 3, True, True),
+            (2.0, 3.0, 2.0, 3, True, False),
+        ],
+        ids=["J6", "J5", "J21", "rows300", "line", "linear-only"],
+    )
+    def test_against_brute_force_convolution(
+        self, rng, lattice_lam, K, lam, n_rows, include_linear, include_quadratic
+    ):
+        lat = make_lattice(lattice_lam, K)
+        rows = np.array([random_field(lat, rng).coeff for _ in range(n_rows)])
+        got = nonlinearity_rows(
+            rows, lat, lam, include_linear=include_linear, include_quadratic=include_quadratic
+        )
+        for u, row in zip(rows, got):
+            oracle = nonlinearity_oracle(u, lat, lam, include_linear, include_quadratic)
+            assert np.abs(row - oracle).max() < 1e-12 * max(1.0, np.abs(oracle).max())
+
+    def test_own_and_line_lam_on_one_lattice(self, rng):
+        # the two lams need their own multipliers, in either order
+        lat = make_lattice(8.0, 1.0)
+        u = random_field(lat, rng).coeff
+        for lam in (8.0, 2.0, 8.0):
+            got = nonlinearity_rows(u, lat, lam)[0]
+            oracle = nonlinearity_oracle(u, lat, lam)
+            assert np.abs(got - oracle).max() < 1e-12 * max(1.0, np.abs(oracle).max())
 
     def test_two_mode_input_brute_force(self):
         lat = make_lattice(1.0, 6.0)
@@ -266,6 +310,49 @@ class TestPicard:
             i = ref.index_of_time(t)
             assert np.abs(res.trajectory.coeff[i] - ref.coeff[i]).max() < 1e-8
 
+    def test_peak_memory_matches_the_array_count(self):
+        # picard_solve's docstring counts six rows x modes complex arrays and
+        # half of one more at its peak; a fresh process reads its own
+        # high-water mark, since ru_maxrss of a child inherits the parent's
+        if not Path("/proc/self/status").is_file():
+            pytest.skip("needs /proc/self/status")
+        script = textwrap.dedent(
+            """
+            import json
+            from gblab.lattice import field_from_modes, make_lattice
+            from gblab.solver import SolverConfig, picard_solve, time_grid
+
+            def hwm():
+                for line in open("/proc/self/status"):
+                    if line.startswith("VmHWM:"):
+                        return int(line.split()[1]) * 1024
+
+            lat = make_lattice(4.0, 64.0)
+            u0 = field_from_modes(lat, {1.0: 1e-3, -0.5: 1e-3j, 3.0: 1e-3})
+            # a small solve first, so FFT caches and the product plan count
+            # in the baseline
+            picard_solve(u0, SolverConfig(lam=4.0, s=-0.5, T=0.0032, dt=1e-4))
+            cfg = SolverConfig(lam=4.0, s=-0.5, T=0.4096, dt=1e-4)
+            base = hwm()
+            res = picard_solve(u0, cfg)
+            print(json.dumps({
+                "array": time_grid(cfg).size * lat.modes * 16,
+                "base": base,
+                "peak": hwm(),
+                "iterations": res.report.iterations,
+            }))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gblab.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        r = json.loads(proc.stdout)
+        assert r["array"] >= 32 * 2**20
+        assert r["iterations"] >= 3  # both kept iterates are alive during the map
+        assert r["peak"] - r["base"] <= 6.5 * r["array"]
+
     def test_divergence_raises_with_history(self):
         from gblab.solver import PicardDivergenceError
 
@@ -326,6 +413,24 @@ class TestReference:
         e1 = np.abs(ends[1e-2] - ends[5e-3]).max()
         e2 = np.abs(ends[5e-3] - ends[2.5e-3]).max()
         assert math.log2(e1 / e2) > 3.7
+
+    def test_multiplier_built_once_per_lattice(self, monkeypatch):
+        import gblab.solver
+
+        built = []
+        real = gblab.solver.omega_multiplier
+
+        def counted(lattice, lam=None):
+            built.append((lattice.half_modes, lattice.lam, lam))
+            return real(lattice, lam)
+
+        monkeypatch.setattr(gblab.solver, "omega_multiplier", counted)
+        lat = make_lattice(3.0, 2.0)
+        u0 = field_from_modes(lat, {1.0: 0.1, -1.0 / 3.0: 0.05j})
+        for lam in (3.0, 1.5):  # the lattice's own lam, then the line emulation
+            built.clear()
+            reference_solve(u0, SolverConfig(lam=lam, s=-0.5, T=0.05, dt=5e-3))
+            assert len(built) <= 1
 
     def test_negative_time_branch(self, rng):
         lat = make_lattice(1.0, 3.0)
