@@ -1,9 +1,12 @@
 """Batch experiment runner: solve / verify / inflate / norms subcommands with
-INI-style configuration, deterministic seeded runs, and manifest emission.
+INI-style configuration (the table CONFIG, converted whole before any work;
+an unknown section or key or a malformed value is rejected), deterministic
+seeded runs, and manifest emission.
 
 Exit codes: 0 all checks pass, 1 a contractual assertion failed (a scientific
-finding), 2 usage or configuration error, 3 internal fault (any other
-exception, such as independent evaluation paths that disagreed)."""
+finding), 2 bad input (ConfigError, LatticeError, InflationError,
+CountingError), 3 internal fault (any other exception, such as numpy's own
+errors or independent evaluation paths that disagreed)."""
 
 from __future__ import annotations
 
@@ -29,6 +32,7 @@ from .illposedness import (
 )
 from .lattice import (
     LatticeError,
+    SpacetimeSpectrum,
     SpectralField,
     dump_spectrum,
     field_from_modes,
@@ -40,6 +44,7 @@ from .lattice import (
 from .norms import NormSpec, h_norm, norm_report, ws_norm, xsb_norm, ys_norm
 from .resonance import (
     CountingCase,
+    CountingError,
     SweepSampler,
     _batched_values,
     cell_measure,
@@ -60,107 +65,138 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-DEFAULTS = {
-    "solve": {
-        "lam": "4.0",
-        "s": "-0.5",
-        "t": "0.5",
-        "dt": "0.002",
-        "k": "4.0",
-        "max_picard": "40",
-        "contraction_tol": "1e-10",
-        "data": "modes",
-        "data_modes": "1.0:0.05,-0.5:0.02j",
-        "seed": "7",
-        "compare_reference": "false",
-    },
-    "counting": {
-        "lambdas": "1,2,4,8",
-        "m_cap": "64",
-        "n_random": "20000",
-        "max_over_median": "10.0",
-        "kendall_cap": "0.3",
-    },
-    "embeddings": {
-        "lambdas": "1,2,4,8,16",
-        "s_values": "-0.5,-0.25",
-        "thetas": "0.25,0.5,0.75",
-        "n_fields": "500",
-        "growth_cap": "1.10",
-        "seed": "11",
-    },
-    "bilinear": {
-        "lambdas": "4,16,64",
-        "s": "-0.5",
-        "n_trials": "4",
-        "adversarial_slope_lo": "0.0",
-        "adversarial_slope_hi": "0.7",
-        "flat_slope_cap": "0.2",
-    },
-    "l4": {
-        "lambdas": "1,4,16",
-        "n_fields": "100",
-        "band_cap": "3.0",
-        "seed": "23",
-    },
-    "inflate": {
-        "s": "-0.75",
-        "delta": "0.01",
-        "lam": "4.0",
-        "t0": "0.5",
-        "k": "256.0",
-        "cond_factor": "2.0",
-        "n_list": "",
-        "variant": "torus",
-        "report_s": "-0.5",
-    },
-    "norms": {
-        "family": "Ws",
-        "s": "-0.5",
-        "b": "",
-        "m_max": "",
-        "tau_max": "",
-    },
-}
-
-
-def print_defaults() -> None:
-    cp = configparser.ConfigParser()
-    for section, values in DEFAULTS.items():
-        cp[section] = values
-    cp.write(sys.stdout)
-
-
-def load_config(path: str | None) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
-    for section, values in DEFAULTS.items():
-        cp[section] = dict(values)
-    if path:
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-    return cp
-
-
 class ConfigError(ValueError):
     pass
 
 
-def _floats(text: str) -> list:
-    return [float(x) for x in text.replace(" ", "").split(",") if x]
+def _floats(least: int):
+    """Converter for a comma list of at least `least` floats."""
+    def convert(text: str) -> tuple:
+        values = tuple(float(x) for x in text.replace(" ", "").split(",") if x)
+        if len(values) < least:
+            raise ValueError(f"needs at least {least} comma-separated numbers")
+        return values
+    return convert
 
 
-def _parse_modes(text: str) -> dict:
-    out = {}
-    for item in text.replace(" ", "").split(","):
-        if not item:
-            continue
-        try:
-            freq, val = item.split(":")
-            out[float(freq)] = complex(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad mode entry {item!r}") from exc
-    return out
+def _number(kind, least):
+    """Converter for an int or float (`kind`) of at least `least`."""
+    def convert(text: str):
+        value = kind(text)
+        if not value >= least:
+            raise ValueError(f"must be at least {least}")
+        return value
+    return convert
+
+
+def _optional_float(text: str) -> float | None:
+    return float(text) if text.strip() else None
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError("not a boolean (true/false, yes/no, on/off, 1/0)") from None
+
+
+def _modes(text: str) -> dict:
+    """Converter for comma-separated `frequency:coefficient` pairs."""
+    pairs = [item.split(":") for item in text.replace(" ", "").split(",") if item]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError("mode entries are frequency:coefficient")
+    return {float(freq): complex(value) for freq, value in pairs}
+
+
+# Every configuration key, once: its default text, as --print-defaults writes
+# it, and the function converting its text; the lambdas of a suite whose
+# checks compare lambdas need two.  The bounds of the program's own checks are
+# constants beside the checks, not keys.
+CONFIG = {
+    "solve": {
+        "lam": ("4.0", float),
+        "s": ("-0.5", float),
+        "t": ("0.5", float),
+        "dt": ("0.002", float),
+        "k": ("4.0", float),
+        "max_picard": ("40", int),
+        "contraction_tol": ("1e-10", float),
+        "data": ("modes", str),
+        "data_modes": ("1.0:0.05,-0.5:0.02j", _modes),
+        "seed": ("7", int),
+        "compare_reference": ("false", _bool),
+    },
+    "counting": {
+        "lambdas": ("1,2,4,8", _floats(2)),
+        "m_cap": ("64", _number(float, 1)),
+        "n_random": ("20000", _number(int, 0)),
+    },
+    "embeddings": {
+        "lambdas": ("1,2,4,8,16", _floats(2)),
+        "s_values": ("-0.5,-0.25", _floats(1)),
+        "thetas": ("0.25,0.5,0.75", _floats(1)),
+        "n_fields": ("500", _number(int, 1)),
+    },
+    "bilinear": {
+        "lambdas": ("4,16,64", _floats(2)),
+        "s": ("-0.5", float),
+        "n_trials": ("4", _number(int, 1)),
+    },
+    "l4": {
+        "lambdas": ("1,4,16", _floats(1)),
+        "n_fields": ("100", _number(int, 1)),
+    },
+    "inflate": {
+        "s": ("-0.75", float),
+        "delta": ("0.01", float),
+        "lam": ("4.0", float),
+        "t0": ("0.5", float),
+        "k": ("256.0", float),
+        "cond_factor": ("2.0", float),
+        "n_list": ("", _floats(0)),
+        "variant": ("torus", str),
+        "report_s": ("-0.5", _floats(0)),
+    },
+    "norms": {
+        "family": ("Ws", str),
+        "s": ("-0.5", float),
+        "b": ("", _optional_float),
+        "m_max": ("", _optional_float),
+        "tau_max": ("", _optional_float),
+    },
+}
+
+
+def default_config() -> configparser.ConfigParser:
+    cp = configparser.ConfigParser()
+    cp.read_dict({s: {k: d for k, (d, _) in table.items()} for s, table in CONFIG.items()})
+    return cp
+
+
+def load_config(path: str | None) -> tuple:
+    """The defaults overlaid with the INI file at `path`, every key converted
+    before any work starts.  Returns (text, values) per section and key: the
+    text for the manifest, the value for the command."""
+    cp = default_config()
+    try:
+        if path and not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        text = {section: dict(cp[section]) for section in cp.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
+    values = {}
+    for section, keys in text.items():
+        if section not in CONFIG:
+            raise ConfigError(f"unknown section [{section}]")
+        values[section] = {}
+        for key, raw in keys.items():
+            if key not in CONFIG[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
+            try:
+                values[section][key] = CONFIG[section][key][1](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    return text, values
 
 
 class Manifest:
@@ -199,33 +235,26 @@ class Manifest:
         return all(v["passed"] for v in self.checks.values())
 
 
-def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int | None) -> int:
+def cmd_solve(conf: dict, text: dict, out_dir: Path, seed: int | None) -> int:
     """Solve from the configured data; the data seed is --seed when given,
     else the config's [solve] seed."""
-    sec = cp["solve"]
-    seed = seed if seed is not None else sec.getint("seed")
-    manifest = Manifest("solve", dict(sec), seed)
-    lam = sec.getfloat("lam")
-    K = sec.getfloat("k")
-    lattice = make_lattice(lam, K)
-    kind = sec.get("data")
+    seed = seed if seed is not None else conf["seed"]
+    manifest = Manifest("solve", text, seed)
+    lattice = make_lattice(conf["lam"], conf["k"])
+    kind = conf["data"]
     if kind == "zero":
         u0 = SpectralField(lattice, np.zeros(lattice.modes, dtype=complex))
     elif kind == "modes":
-        u0 = field_from_modes(lattice, _parse_modes(sec.get("data_modes")))
+        u0 = field_from_modes(lattice, conf["data_modes"])
     elif kind == "gaussian":
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(lattice.modes) + 1j * rng.standard_normal(lattice.modes)
         u0 = SpectralField(lattice, 0.01 * c * (1 + lattice.k**2) ** -1)
     else:
-        raise ConfigError(f"unknown data kind {kind!r}")
+        raise ConfigError(f"[solve] data: unknown data kind {kind!r}")
     cfg = SolverConfig(
-        lam=lam,
-        s=sec.getfloat("s"),
-        T=sec.getfloat("t"),
-        dt=sec.getfloat("dt"),
-        max_picard=sec.getint("max_picard"),
-        contraction_tol=sec.getfloat("contraction_tol"),
+        lam=conf["lam"], s=conf["s"], T=conf["t"], dt=conf["dt"],
+        max_picard=conf["max_picard"], contraction_tol=conf["contraction_tol"],
     )
     try:
         result = picard_solve(u0, cfg)
@@ -242,52 +271,38 @@ def cmd_solve(cp: configparser.ConfigParser, out_dir: Path, seed: int | None) ->
         result.report.residual < 10 * cfg.contraction_tol * scale,
         {"residual": result.report.residual, "ratios": result.report.ratios},
     )
-    if sec.getboolean("compare_reference"):
+    if conf["compare_reference"]:
         ref = reference_solve(u0, cfg)
         i = result.trajectory.index_of_time(cfg.T)
-        diff = result.trajectory.coeff[i] - ref.coeff[i]
-        w = (1 + lattice.k**2) ** -0.5
-        err = math.sqrt(float(np.sum(w * np.abs(diff) ** 2)) / lam)
-        rel = err / max(h_norm(ref.field_at(i), -0.5), 1e-300)
+        diff = SpectralField(lattice, result.trajectory.coeff[i] - ref.coeff[i])
+        rel = h_norm(diff, -0.5) / max(h_norm(ref.field_at(i), -0.5), 1e-300)
         manifest.check("reference_agreement", rel < 1e-6, {"rel_h_half": rel})
     manifest.write(out_dir)
     return EXIT_OK if manifest.all_passed else EXIT_FINDING
 
 
-def counting_grid(cp, seed: int):
-    sec = cp["counting"]
-    lambdas = _floats(sec.get("lambdas"))
-    m_cap = sec.getfloat("m_cap")
+def counting_grid(conf: dict, seed: int):
     dyadic = []
     m = 1.0
-    while m <= m_cap:
+    while m <= conf["m_cap"]:
         dyadic.append(m)
         m *= 2
-    sampler = SweepSampler(n_random=sec.getint("n_random"), seed=seed)
+    sampler = SweepSampler(n_random=conf["n_random"], seed=seed)
     cases = [
         CountingCase(lemma, side, M1, M2, lam)
         for lemma in ("RB1", "RB2", "DRB1", "DRB2")
         for side in ("complement", "exceptional")
-        for lam in lambdas
+        for lam in conf["lambdas"]
         for M1 in dyadic
         for M2 in dyadic
     ]
     return [sup_sweep(c, sampler) for c in cases]
 
 
-def cmd_verify(cp, suites, out_dir: Path, seed: int) -> int:
-    manifest = Manifest("verify", {s: dict(cp[s]) for s in suites}, seed)
+def cmd_verify(conf: dict, text: dict, suites, out_dir: Path, seed: int) -> int:
+    manifest = Manifest("verify", {s: text[s] for s in suites}, seed)
     for suite in suites:
-        if suite == "counting":
-            _verify_counting(cp, manifest, out_dir, seed)
-        elif suite == "embeddings":
-            _verify_embeddings(cp, manifest, out_dir, seed)
-        elif suite == "bilinear":
-            _verify_bilinear(cp, manifest, out_dir, seed)
-        elif suite == "l4":
-            _verify_l4(cp, manifest, out_dir, seed)
-        else:
-            raise ConfigError(f"unknown suite {suite!r}")
+        SUITES[suite](conf[suite], manifest, out_dir, seed)
     manifest.write(out_dir)
     return EXIT_OK if manifest.all_passed else EXIT_FINDING
 
@@ -306,9 +321,12 @@ def _kendall_tau_b(x, y) -> float:
     return max(-1.0, min(1.0, con_minus_dis / math.sqrt(untied_x) / math.sqrt(untied_y)))
 
 
-def _verify_counting(cp, manifest, out_dir, seed):
-    sec = cp["counting"]
-    results = counting_grid(cp, seed)
+MAX_OVER_MEDIAN = 10.0  # bound on the largest sup ratio over their median
+KENDALL_CAP = 0.3  # bound on |tau-b| of the ratios against M1*M2 and lambda
+
+
+def _verify_counting(conf, manifest, out_dir, seed):
+    results = counting_grid(conf, seed)
     csv_path = out_dir / "counting.csv"
     write_sweep_csv(results, csv_path)
     manifest.add_output(csv_path)
@@ -318,12 +336,10 @@ def _verify_counting(cp, manifest, out_dir, seed):
     spread = float(ratios.max() / np.median(ratios))
     tau_m = _kendall_tau_b(mm, ratios)
     tau_l = _kendall_tau_b(ll, ratios)
-    cap = sec.getfloat("max_over_median")
-    kcap = sec.getfloat("kendall_cap")
-    manifest.check("counting_ratio_spread", spread < cap, {"max_over_median": spread})
+    manifest.check("counting_ratio_spread", spread < MAX_OVER_MEDIAN, {"max_over_median": spread})
     manifest.check(
         "counting_no_growth_trend",
-        abs(tau_m) < kcap and abs(tau_l) < kcap,
+        abs(tau_m) < KENDALL_CAP and abs(tau_l) < KENDALL_CAP,
         {"kendall_vs_M": tau_m, "kendall_vs_lambda": tau_l},
     )
     # duality identities: the mirrored lemmas, evaluated by the sweep
@@ -359,8 +375,6 @@ def _verify_counting(cp, manifest, out_dir, seed):
 
 
 def _embedding_cell(lam, s, theta, n_fields, rng):
-    from .lattice import SpacetimeSpectrum
-
     lattice = make_lattice(lam, 4.0)
     tau = make_tau_grid(80.0, 0.5)
     k = lattice.k
@@ -381,26 +395,24 @@ def _embedding_cell(lam, s, theta, n_fields, rng):
     return worst
 
 
-def _verify_embeddings(cp, manifest, out_dir, seed):
-    sec = cp["embeddings"]
-    lambdas = _floats(sec.get("lambdas"))
-    s_values = _floats(sec.get("s_values"))
-    thetas = _floats(sec.get("thetas"))
-    n_fields = sec.getint("n_fields")
-    growth_cap = sec.getfloat("growth_cap")
+GROWTH_CAP = 1.10  # bound on an embedding constant's growth per lambda step
+EMBEDDINGS_SEED = 11  # offset of the embedding fields' seed from the run's
+
+
+def _verify_embeddings(conf, manifest, out_dir, seed):
+    s_values, thetas = conf["s_values"], conf["thetas"]
     rows = []
     for s in s_values:
         for theta in thetas:
             if (s, theta) == (-0.5, 1.0):
                 continue
-            for lam in lambdas:
-                rng = np.random.default_rng(sec.getint("seed") + seed)
-                worst = _embedding_cell(lam, s, theta, n_fields, rng)
+            for lam in conf["lambdas"]:
+                rng = np.random.default_rng(EMBEDDINGS_SEED + seed)
+                worst = _embedding_cell(lam, s, theta, conf["n_fields"], rng)
                 rows.append({"s": s, "theta": theta, "lambda": lam, **worst})
     path = out_dir / "embeddings.json"
     path.write_text(json.dumps(rows, sort_keys=True, indent=1))
     manifest.add_output(path)
-    stable = True
     detail = {}
     for s in s_values:
         for theta in thetas:
@@ -408,20 +420,20 @@ def _verify_embeddings(cp, manifest, out_dir, seed):
             cell.sort(key=lambda r: r["lambda"])
             for key in ("x_s1_to_ws", "mixed_to_ws", "ws_to_xs0", "ws_to_ys"):
                 vals = [r[key] for r in cell]
-                growth = max(
-                    vals[i + 1] / vals[i] for i in range(len(vals) - 1)
-                )
+                growth = max(b / a for a, b in zip(vals, vals[1:]))
                 detail[f"{key}@s={s},theta={theta}"] = growth
-                if growth > growth_cap:
-                    stable = False
+    stable = not any(growth > GROWTH_CAP for growth in detail.values())
     manifest.check("embedding_constants_stable", stable, detail)
 
 
-def _verify_bilinear(cp, manifest, out_dir, seed):
-    sec = cp["bilinear"]
-    lambdas = tuple(_floats(sec.get("lambdas")))
-    s = sec.getfloat("s")
-    n_trials = sec.getint("n_trials")
+# bounds on the fitted lambda-loss slopes, adversarial and random profiles
+ADVERSARIAL_SLOPE_LO = 0.0
+ADVERSARIAL_SLOPE_HI = 0.7
+FLAT_SLOPE_CAP = 0.2
+
+
+def _verify_bilinear(conf, manifest, out_dir, seed):
+    lambdas, s, n_trials = conf["lambdas"], conf["s"], conf["n_trials"]
     sweeps = [
         slope_sweep("u vbar", s, lambdas, "adversarial-omega4", n_trials, seed),
         slope_sweep("u v", s, lambdas, "random", n_trials, seed),
@@ -430,36 +442,32 @@ def _verify_bilinear(cp, manifest, out_dir, seed):
     path = out_dir / "bilinear.json"
     path.write_text(json.dumps(sweeps, sort_keys=True, indent=1))
     manifest.add_output(path)
-    lo = sec.getfloat("adversarial_slope_lo")
-    hi = sec.getfloat("adversarial_slope_hi")
-    cap = sec.getfloat("flat_slope_cap")
     manifest.check(
         "bilinear_loss_slope",
-        lo <= sweeps[0]["slope"] <= hi,
+        ADVERSARIAL_SLOPE_LO <= sweeps[0]["slope"] <= ADVERSARIAL_SLOPE_HI,
         {"slope": sweeps[0]["slope"]},
     )
     manifest.check(
         "bilinear_no_loss_kinds",
-        all(abs(sw["slope"]) <= cap for sw in sweeps[1:]),
+        all(abs(sw["slope"]) <= FLAT_SLOPE_CAP for sw in sweeps[1:]),
         {sw["kind"]: sw["slope"] for sw in sweeps[1:]},
     )
 
 
-def _verify_l4(cp, manifest, out_dir, seed):
-    from .lattice import SpacetimeSpectrum
+BAND_CAP = 3.0  # bound on the ratio of the largest to the smallest L4 maximum
+L4_SEED = 23  # offset of the L4 fields' seed from the run's
 
-    sec = cp["l4"]
-    lambdas = _floats(sec.get("lambdas"))
-    n_fields = sec.getint("n_fields")
+
+def _verify_l4(conf, manifest, out_dir, seed):
     maxima = {}
-    for lam in lambdas:
-        rng = np.random.default_rng(sec.getint("seed") + seed)
+    for lam in conf["lambdas"]:
+        rng = np.random.default_rng(L4_SEED + seed)
         lattice = make_lattice(lam, 2.0)
         tau = make_tau_grid(20.0, 0.5)
         k = lattice.k
         mod = np.sqrt(1.0 + (tau[:, None] + (k * k)[None, :]) ** 2)
         vals = []
-        for _ in range(n_fields):
+        for _ in range(conf["n_fields"]):
             c = (
                 rng.standard_normal(mod.shape) + 1j * rng.standard_normal(mod.shape)
             ) * mod ** (-0.7)
@@ -470,24 +478,24 @@ def _verify_l4(cp, manifest, out_dir, seed):
     manifest.add_output(path)
     band = max(maxima.values()) / min(maxima.values())
     manifest.check(
-        "l4_ratio_stable", band < cp["l4"].getfloat("band_cap"), {"band": band, **{str(k): v for k, v in maxima.items()}}
+        "l4_ratio_stable", band < BAND_CAP, {"band": band, **{str(k): v for k, v in maxima.items()}}
     )
 
 
-def cmd_inflate(cp, out_dir: Path, seed: int) -> int:
-    sec = cp["inflate"]
-    manifest = Manifest("inflate", dict(sec), seed)
-    n_list = tuple(_floats(sec.get("n_list"))) if sec.get("n_list").strip() else ()
+SUITES = {
+    "counting": _verify_counting,
+    "embeddings": _verify_embeddings,
+    "bilinear": _verify_bilinear,
+    "l4": _verify_l4,
+}
+
+
+def cmd_inflate(conf: dict, text: dict, out_dir: Path, seed: int) -> int:
+    manifest = Manifest("inflate", text, seed)
     cfg = InflationConfig(
-        s=sec.getfloat("s"),
-        delta=sec.getfloat("delta"),
-        lam=sec.getfloat("lam"),
-        t0=sec.getfloat("t0"),
-        K=sec.getfloat("k"),
-        cond_factor=sec.getfloat("cond_factor"),
-        n_list=n_list,
-        variant=sec.get("variant"),
-        report_s=tuple(_floats(sec.get("report_s"))),
+        s=conf["s"], delta=conf["delta"], lam=conf["lam"], t0=conf["t0"], K=conf["k"],
+        cond_factor=conf["cond_factor"], n_list=conf["n_list"], variant=conf["variant"],
+        report_s=conf["report_s"],
     )
     report = inflation_sweep(cfg)
     csv_path = out_dir / "inflation.csv"
@@ -515,23 +523,17 @@ def cmd_inflate(cp, out_dir: Path, seed: int) -> int:
     return EXIT_OK if manifest.all_passed else EXIT_FINDING
 
 
-def cmd_norms(cp, spectrum_path: str, out_dir: Path, seed: int) -> int:
-    sec = cp["norms"]
-    manifest = Manifest("norms", dict(sec), seed)
-    family = sec.get("family")
-    s = sec.getfloat("s")
-    b = sec.getfloat("b") if sec.get("b").strip() else None
-    m_max = sec.getfloat("m_max") if sec.get("m_max").strip() else None
+def cmd_norms(conf: dict, text: dict, spectrum_path: str, out_dir: Path, seed: int) -> int:
+    manifest = Manifest("norms", text, seed)
+    family, s = conf["family"], conf["s"]
     if family == "Hs":
         f = load_field(spectrum_path)
         payload = {"family": "Hs", "s": s, "lambda": f.lattice.lam, "value": h_norm(f, s)}
     else:
-        if not sec.get("tau_max").strip():
-            raise ConfigError(
-                "space-time dumps do not carry the tau range; set norms.tau_max"
-            )
-        u = load_spacetime(spectrum_path, sec.getfloat("tau_max"))
-        payload = norm_report(u, NormSpec(family=family, s=s, b=b, m_max=m_max))
+        if conf["tau_max"] is None:
+            raise ConfigError("space-time dumps do not carry the tau range; set [norms] tau_max")
+        u = load_spacetime(spectrum_path, conf["tau_max"])
+        payload = norm_report(u, NormSpec(family, s, b=conf["b"], m_max=conf["m_max"]))
     path = out_dir / "norm.json"
     path.write_text(json.dumps(payload, sort_keys=True))
     manifest.add_output(path)
@@ -554,12 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out-dir", default="out")
         if name == "verify":
-            sp.add_argument(
-                "--suite",
-                action="append",
-                choices=["counting", "embeddings", "bilinear", "l4"],
-                required=True,
-            )
+            sp.add_argument("--suite", action="append", choices=list(SUITES), required=True)
         if name == "norms":
             sp.add_argument("spectrum", help="binary spectrum dump to evaluate")
     return p
@@ -569,26 +566,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.print_defaults:
-        print_defaults()
+        default_config().write(sys.stdout)
         return EXIT_OK
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        cp = load_config(args.config)
+        text, conf = load_config(args.config)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":
-            return cmd_solve(cp, out_dir, args.seed)
+            return cmd_solve(conf["solve"], text["solve"], out_dir, args.seed)
         seed = args.seed if args.seed is not None else 0
         if args.command == "verify":
-            return cmd_verify(cp, args.suite, out_dir, seed)
+            return cmd_verify(conf, text, args.suite, out_dir, seed)
         if args.command == "inflate":
-            return cmd_inflate(cp, out_dir, seed)
-        if args.command == "norms":
-            return cmd_norms(cp, args.spectrum, out_dir, seed)
-        raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, InflationError, LatticeError, ValueError) as exc:
+            return cmd_inflate(conf["inflate"], text["inflate"], out_dir, seed)
+        return cmd_norms(conf["norms"], text["norms"], args.spectrum, out_dir, seed)
+    except (ConfigError, CountingError, InflationError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a fault of the program, not of its input

@@ -260,6 +260,10 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
     delta^2 lam^(-1/2).  Verdict for s = -1/2: the solution/data ratio stays in
     a fixed band.
     """
+    # Each solve is dropped before the next (below); its arrays would then be
+    # trimmed from the heap top and faulted back in.  Freeing one mmapped
+    # 16 MiB block raises glibc's trim threshold to 32 MiB (see resonance).
+    np.empty(16 << 20, dtype=np.uint8)
     n_list = cfg.n_list or tuple(
         scan_cond_n(
             cfg.lam,
@@ -311,18 +315,19 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                 )
             )
             continue
-        if not result.report.converged:
+        iterations, converged = result.report.iterations, result.report.converged
+        u_end = result.trajectory.field_at(result.trajectory.index_of_time(cfg.t0))
+        del result  # its arrays must not sit beside the next, larger solve
+        if not converged:
             rows.append(
                 InflationRow(
                     N=N, phase=diag["phase"], dt=dt,
-                    error=f"no convergence in {result.report.iterations} iterations",
+                    error=f"no convergence in {iterations} iterations",
                     norms=norms, w_proxy=None, w_full=None,
-                    picard_iterations=result.report.iterations,
+                    picard_iterations=iterations,
                 )
             )
             continue
-        i_end = result.trajectory.index_of_time(cfg.t0)
-        u_end = result.trajectory.field_at(i_end)
         residue = SpectralField(lattice, u_end.coeff - u1.coeff)
         w = SpectralField(lattice, u_end.coeff - u1.coeff - u2.coeff)
         for s in s_values:
@@ -338,7 +343,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                 norms=norms,
                 w_proxy=_low_band_h_norm(w, -0.5),
                 w_full=h_norm(w, -0.5),
-                picard_iterations=result.report.iterations,
+                picard_iterations=iterations,
             )
         )
     return _finish_report(cfg, rows)

@@ -307,13 +307,27 @@ def dump_spectrum(obj, path) -> None:
 
 def load_spectrum(path):
     """Returns (lattice, rows, coeff): rows == 0 means a single spatial field."""
-    with open(path, "rb") as fh:
-        lam, K, modes, rows = _HEADER.unpack(fh.read(_HEADER.size))
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            raw = fh.read()
+    except OSError as exc:
+        raise LatticeError(f"cannot read spectrum dump {path}: {exc.strerror}") from None
+    if len(header) < _HEADER.size:
+        raise LatticeError(
+            f"{path}: {len(header)} bytes, shorter than the {_HEADER.size}-byte header"
+        )
+    lam, K, modes, rows = _HEADER.unpack(header)
+    n_rows = max(int(rows), 1)
+    expected = n_rows * int(modes) * 16
+    if len(raw) != expected:
+        raise LatticeError(
+            f"{path}: body of {len(raw)} bytes, expected {n_rows} rows x {modes} modes"
+            f" x 16 = {expected}"
+        )
     lattice = make_lattice(lam, K)
     if lattice.modes != modes:
         raise LatticeError(f"mode count {modes} inconsistent with lam={lam}, K={K}")
-    n_rows = max(int(rows), 1)
     coeff = np.frombuffer(raw, dtype="<c16").reshape(n_rows, int(modes)).astype(np.complex128)
     return lattice, int(rows), coeff
 

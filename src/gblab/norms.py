@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SpacetimeSpectrum, SpectralField
+from .lattice import LatticeError, SpacetimeSpectrum, SpectralField
 
 MUCH_GREATER = 4.0
 
@@ -171,11 +171,11 @@ class NormSpec:
 
     def __post_init__(self):
         if self.family not in ("Hs", "Xsb", "Ys", "Ws", "Besov"):
-            raise ValueError(f"unknown norm family {self.family}")
+            raise LatticeError(f"unknown norm family {self.family}")
         if self.m_max is not None:
             m = self.m_max
             if m < 1 or 2 ** round(math.log2(m)) != m:
-                raise ValueError("m_max must be a power of 2 >= 1")
+                raise LatticeError("m_max must be a power of 2 >= 1")
 
 
 def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float:
@@ -188,7 +188,7 @@ def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float
     predicates and summing the corresponding component norms.
     """
     if not (-0.5 <= s <= -0.25):
-        raise ValueError("ws_norm requires -1/2 <= s <= -1/4")
+        raise LatticeError("ws_norm requires -1/2 <= s <= -1/4")
     if u._cells is None:
         tau, ik, c = u.tau[:, None], np.arange(u.lattice.modes), u.coeff
     else:
@@ -294,7 +294,7 @@ def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:
     """JSON-ready record {family, s, b, lambda, value, shells}."""
     shells = []
     if spec.family == "Hs":
-        raise ValueError("Hs norms act on spatial fields; use h_norm")
+        raise LatticeError("Hs norms act on spatial fields; use h_norm")
     if spec.family == "Xsb":
         value = xsb_norm(u, spec.s, spec.b if spec.b is not None else 0.0)
     elif spec.family == "Ys":
@@ -305,10 +305,8 @@ def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:
             {"M": M, "value": piece.l2_norm()}
             for M, piece in dyadic_shells(project(u, mod_gt_k2()), spec.m_max)
         ]
-    elif spec.family == "Besov":
+    else:  # Besov, the last family NormSpec admits
         value = besov_norm(u, spec.s, spec.b if spec.b is not None else 0.5)
-    else:
-        raise ValueError(spec.family)
     return {
         "family": spec.family,
         "s": spec.s,

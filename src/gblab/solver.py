@@ -67,12 +67,14 @@ class SolverConfig:
     include_quadratic: bool = True
 
     def __post_init__(self):
+        if not self.dt > 0:
+            raise LatticeError("dt must be positive")
         n = (self.T - self.t_min) / self.dt
         if abs(n - round(n)) > 1e-9:
-            raise ValueError("dt must divide the solve interval")
+            raise LatticeError("dt must divide the solve interval")
         n0 = -self.t_min / self.dt
         if not (self.t_min <= 0.0 <= self.T) or abs(n0 - round(n0)) > 1e-9:
-            raise ValueError("t = 0 must be a point of the time grid")
+            raise LatticeError("t = 0 must be a point of the time grid")
 
 
 def time_grid(cfg: SolverConfig) -> np.ndarray:

@@ -30,6 +30,48 @@ class TestBasics:
         rc = run(["solve", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "ini, command, named",
+        [
+            ("[solve]\nlamda = 8\n", ["solve"], "[solve] lamda"),
+            ("[solv]\nlam = 8\n", ["solve"], "[solv]"),
+            ("[solve]\nlam = abc\n", ["solve"], "[solve] lam"),
+            ("[solve]\nmax_picard = 4.5\n", ["solve"], "[solve] max_picard"),
+            ("[solve]\ncompare_reference = maybe\n", ["solve"], "[solve] compare_reference"),
+            ("[counting]\nmax_over_median = 10\n", ["verify", "--suite", "counting"],
+             "[counting] max_over_median"),
+            ("[embeddings]\nlambdas = 1\n", ["verify", "--suite", "embeddings"],
+             "[embeddings] lambdas"),
+            ("[counting]\nlambdas = 4\n", ["verify", "--suite", "counting"], "[counting] lambdas"),
+            ("[counting]\nm_cap = 0.5\n", ["verify", "--suite", "counting"], "[counting] m_cap"),
+            ("[l4]\nn_fields = 0\n", ["verify", "--suite", "l4"], "[l4] n_fields"),
+            ("lam = 8\n", ["solve"], "no section headers"),
+        ],
+        ids=["unknown-key", "unknown-section", "float", "int", "bool", "check-bound",
+             "one-lambda", "one-counting-lambda", "no-dyadic-size", "no-fields", "unparsable"],
+    )
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, ini, command, named):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(ini)
+        out = tmp_path / "o"
+        assert run(command + ["--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_printed_defaults_read_back_as_the_defaults(self, tmp_path, capsys):
+        assert run(["--print-defaults"]) == 0
+        cfg = tmp_path / "defaults.ini"
+        cfg.write_text(capsys.readouterr().out)
+        outputs = []
+        for name, extra in (("plain", []), ("printed", ["--config", str(cfg)])):
+            out = tmp_path / name
+            assert run(["solve", "--out-dir", str(out)] + extra) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            manifest.pop("wall_time_s")
+            outputs.append(((out / "trajectory.spec").read_bytes(), manifest))
+        assert outputs[0] == outputs[1]
+
 
 class TestSolve:
     def test_zero_data(self, tmp_path):
@@ -142,6 +184,15 @@ class TestVerify:
         assert err.startswith("internal error:") and "RuntimeError" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_value_error_of_the_program_exits_3(self, tmp_path, monkeypatch, capsys):
+        def broken(u0, cfg):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "picard_solve", broken)
+        rc = run(["solve", "--out-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("internal error: ValueError")
+
 
 class TestKendallTauB:
     def test_matches_scipy_with_ties_in_both_variables(self):
@@ -251,6 +302,25 @@ class TestNorms:
         cfg.write_text("[norms]\nfamily = Ws\ns = -0.5\ntau_max = 4.0\n")
         rc = run(["norms", str(spec), "--config", str(cfg), "--out-dir", str(tmp_path / "o2")])
         assert rc == 0
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(None, "cannot read"), (b"abc", "header"), (-16, "expected")],
+        ids=["missing", "short", "truncated"],
+    )
+    def test_bad_dump_exits_2(self, tmp_path, capsys, body, message):
+        spec = tmp_path / "f.spec"
+        if body is not None:
+            dump_spectrum(field_from_modes(make_lattice(2.0, 3.0), {1.0: 2.0}), spec)
+            spec.write_bytes(body if isinstance(body, bytes) else spec.read_bytes()[:body])
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[norms]\nfamily = Hs\n")
+        out = tmp_path / "o"
+        rc = run(["norms", str(spec), "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "f.spec" in err
+        assert not (out / "norm.json").exists()
 
 
 class TestDeterminism:

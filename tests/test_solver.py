@@ -12,6 +12,7 @@ import pytest
 import gblab
 from gblab.illposedness import make_phi
 from gblab.lattice import (
+    LatticeError,
     SpectralField,
     Trajectory,
     field_from_modes,
@@ -381,6 +382,11 @@ class TestSolverConfig:
         # -0.25 + 0.1 m never hits 0: the grid would be -0.25, -0.15, ..., 0.25
         with pytest.raises(ValueError):
             SolverConfig(lam=1.0, s=-0.5, T=0.25, t_min=-0.25, dt=0.1)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
+    def test_rejects_a_step_that_is_not_positive(self, dt):
+        with pytest.raises(LatticeError, match="dt must be positive"):
+            SolverConfig(lam=1.0, s=-0.5, T=0.25, dt=dt)
 
 
 class TestReference:
