@@ -55,6 +55,7 @@ from .resonance import (
 from .solver import (
     PicardDivergenceError,
     SolverConfig,
+    StepSizeRejection,
     picard_solve,
     reference_solve,
 )
@@ -70,11 +71,11 @@ class ConfigError(ValueError):
 
 
 def _floats(least: int):
-    """Converter for a comma list of at least `least` floats."""
+    """Converter for a comma list of floats with at least `least` distinct."""
     def convert(text: str) -> tuple:
         values = tuple(float(x) for x in text.replace(" ", "").split(",") if x)
-        if len(values) < least:
-            raise ValueError(f"needs at least {least} comma-separated numbers")
+        if len(set(values)) < least:
+            raise ValueError(f"needs at least {least} distinct comma-separated numbers")
         return values
     return convert
 
@@ -110,8 +111,8 @@ def _modes(text: str) -> dict:
 
 # Every configuration key, once: its default text, as --print-defaults writes
 # it, and the function converting its text; the lambdas of a suite whose
-# checks compare lambdas need two.  The bounds of the program's own checks are
-# constants beside the checks, not keys.
+# checks compare lambdas need two distinct values.  The bounds of the
+# program's own checks are constants beside the checks, not keys.
 CONFIG = {
     "solve": {
         "lam": ("4.0", float),
@@ -167,6 +168,13 @@ CONFIG = {
 }
 
 
+def _embedding_pairs(conf: dict) -> list:
+    """The (s, theta) cells of the embeddings suite: every configured pair
+    but (-0.5, 1.0), which the suite skips."""
+    pairs = ((s, theta) for s in conf["s_values"] for theta in conf["thetas"])
+    return [pair for pair in pairs if pair != (-0.5, 1.0)]
+
+
 def default_config() -> configparser.ConfigParser:
     cp = configparser.ConfigParser()
     cp.read_dict({s: {k: d for k, (d, _) in table.items()} for s, table in CONFIG.items()})
@@ -196,6 +204,8 @@ def load_config(path: str | None) -> tuple:
                 values[section][key] = CONFIG[section][key][1](raw)
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from None
+    if not _embedding_pairs(values["embeddings"]):
+        raise ConfigError("[embeddings] s_values, thetas: no pair but the skipped (-0.5, 1.0)")
     return text, values
 
 
@@ -272,11 +282,15 @@ def cmd_solve(conf: dict, text: dict, out_dir: Path, seed: int | None) -> int:
         {"residual": result.report.residual, "ratios": result.report.ratios},
     )
     if conf["compare_reference"]:
-        ref = reference_solve(u0, cfg)
-        i = result.trajectory.index_of_time(cfg.T)
-        diff = SpectralField(lattice, result.trajectory.coeff[i] - ref.coeff[i])
-        rel = h_norm(diff, -0.5) / max(h_norm(ref.field_at(i), -0.5), 1e-300)
-        manifest.check("reference_agreement", rel < 1e-6, {"rel_h_half": rel})
+        try:
+            ref = reference_solve(u0, cfg)
+        except StepSizeRejection as exc:
+            manifest.check("reference_agreement", False, {"step_rejected": str(exc)})
+        else:
+            i = result.trajectory.index_of_time(cfg.T)
+            diff = SpectralField(lattice, result.trajectory.coeff[i] - ref.coeff[i])
+            rel = h_norm(diff, -0.5) / max(h_norm(ref.field_at(i), -0.5), 1e-300)
+            manifest.check("reference_agreement", rel < 1e-6, {"rel_h_half": rel})
     manifest.write(out_dir)
     return EXIT_OK if manifest.all_passed else EXIT_FINDING
 
@@ -400,28 +414,22 @@ EMBEDDINGS_SEED = 11  # offset of the embedding fields' seed from the run's
 
 
 def _verify_embeddings(conf, manifest, out_dir, seed):
-    s_values, thetas = conf["s_values"], conf["thetas"]
-    rows = []
-    for s in s_values:
-        for theta in thetas:
-            if (s, theta) == (-0.5, 1.0):
-                continue
-            for lam in conf["lambdas"]:
-                rng = np.random.default_rng(EMBEDDINGS_SEED + seed)
-                worst = _embedding_cell(lam, s, theta, conf["n_fields"], rng)
-                rows.append({"s": s, "theta": theta, "lambda": lam, **worst})
+    rows, detail = [], {}
+    for s, theta in _embedding_pairs(conf):
+        cell = []
+        for lam in conf["lambdas"]:
+            rng = np.random.default_rng(EMBEDDINGS_SEED + seed)
+            worst = _embedding_cell(lam, s, theta, conf["n_fields"], rng)
+            cell.append({"s": s, "theta": theta, "lambda": lam, **worst})
+        rows += cell
+        cell.sort(key=lambda r: r["lambda"])
+        for key in ("x_s1_to_ws", "mixed_to_ws", "ws_to_xs0", "ws_to_ys"):
+            vals = [r[key] for r in cell]
+            growth = max(b / a for a, b in zip(vals, vals[1:]))
+            detail[f"{key}@s={s},theta={theta}"] = growth
     path = out_dir / "embeddings.json"
     path.write_text(json.dumps(rows, sort_keys=True, indent=1))
     manifest.add_output(path)
-    detail = {}
-    for s in s_values:
-        for theta in thetas:
-            cell = [r for r in rows if r["s"] == s and r["theta"] == theta]
-            cell.sort(key=lambda r: r["lambda"])
-            for key in ("x_s1_to_ws", "mixed_to_ws", "ws_to_xs0", "ws_to_ys"):
-                vals = [r[key] for r in cell]
-                growth = max(b / a for a, b in zip(vals, vals[1:]))
-                detail[f"{key}@s={s},theta={theta}"] = growth
     stable = not any(growth > GROWTH_CAP for growth in detail.values())
     manifest.check("embedding_constants_stable", stable, detail)
 

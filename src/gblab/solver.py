@@ -1,7 +1,8 @@
 """Pseudospectral machinery for the rescaled quadratic Schrodinger problem:
 free propagator, dealiased nonlinearity, Duhamel quadrature in the interaction
-picture, Picard fixed-point iteration, a fourth-order reference integrator,
-and the dual-path second-iterate operator used by the inflation experiments.
+picture, Picard fixed-point iteration, a fifth-order Dormand-Prince reference
+integrator, and the dual-path second-iterate operator used by the inflation
+experiments.
 """
 
 from __future__ import annotations
@@ -24,7 +25,23 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _ROW_CHUNK = 256  # rows per padded transform in nonlinearity_rows
 _PLAN_CAP = 16  # product plans kept, one per (half_modes, lattice lam, lam)
 _DIVERGENCE_PATIENCE = 3  # consecutive non-contracting Picard steps tolerated
-_LOCAL_ERROR_CAP = 1e-8  # reference_solve's step-doubling budget, relative to max |v|
+_LOCAL_ERROR_CAP = 1e-8  # reference_solve's embedded-error budget, relative to max |v|
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980): nodes, stage weights
+# (row 6 is the fifth-order solution, so the last stage is the next step's
+# first) and the fifth- minus fourth-order weights of the error estimate
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_DP_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
 _A2_RTOL = 1e-8  # relative l2 agreement required of a2_iterate's two paths
 
 
@@ -358,12 +375,13 @@ class StepSizeRejection(RuntimeError):
 
 
 def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
-    """Classical RK4 in the interaction picture (an exponential integrator:
-    the stiff phases are handled exactly, the remainder is smooth).
+    """Dormand-Prince 5(4) in the interaction picture (an exponential
+    integrator: the stiff phases are handled exactly, the remainder is smooth).
 
-    Every step is checked by step doubling; a local estimate above
+    Every step is checked by the embedded pair's error estimate; one above
     _LOCAL_ERROR_CAP raises StepSizeRejection rather than returning polluted
-    output.  The full step and the first half step share their first stage.
+    output.  A step's last stage is the next step's first, so a step costs
+    six right-hand sides.
     """
     if u0.lattice.lam < cfg.lam:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
@@ -380,30 +398,28 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
         )[0]
         return -1j * F * np.conj(e)
 
-    def rk4_step(time, v, h, k1):
-        k2_ = rhs(time + 0.5 * h, v + 0.5 * h * k1)
-        k3 = rhs(time + 0.5 * h, v + 0.5 * h * k2_)
-        k4 = rhs(time + h, v + h * k3)
-        return v + (h / 6.0) * (k1 + 2.0 * k2_ + 2.0 * k3 + k4)
-
     i0 = int(np.argmin(np.abs(t)))
     coeff = np.zeros((t.size, lattice.modes), dtype=np.complex128)
+    stages = np.empty((7, lattice.modes), dtype=np.complex128)
     for direction in (+1, -1):
-        v = u0.coeff.astype(np.complex128)
         idx = range(i0, t.size - 1) if direction > 0 else range(i0, 0, -1)
+        if not idx:
+            continue
+        v = u0.coeff.astype(np.complex128)
+        stages[0] = rhs(t[i0], v)
         for i in idx:
             j = i + direction
             h = t[j] - t[i]
-            f0 = rhs(t[i], v)
-            full = rk4_step(t[i], v, h, f0)
-            mid = rk4_step(t[i], v, 0.5 * h, f0)
-            half = rk4_step(t[i] + 0.5 * h, mid, 0.5 * h, rhs(t[i] + 0.5 * h, mid))
-            err = float(np.abs(full - half).max())
+            for s in range(1, 7):
+                w = v + h * (_DP_A[s, :s] @ stages[:s])
+                stages[s] = rhs(t[i] + _DP_C[s] * h, w)
+            err = float(np.abs(h * (_DP_E @ stages)).max())
             if err > _LOCAL_ERROR_CAP * max(1.0, float(np.abs(v).max())):
                 raise StepSizeRejection(
                     f"local error {err:.3e} at t={t[i]:.6g}; reduce dt"
                 )
-            v = half
+            v = w  # the fifth-order solution, where the last stage was taken
+            stages[0] = stages[6]
             coeff[j] = v * np.exp(-1j * k2 * t[j])
     coeff[i0] = u0.coeff
     return Trajectory(lattice, t, coeff)

@@ -378,7 +378,7 @@ def test_criterion_10_solver_oracle():
     order = math.log2(e1 / e2)
     report(
         "criterion 10 (solver oracle agreement)",
-        rel < 1e-6 and order >= 3.7,
+        rel < 1e-6 and order >= 4.7,
         f"endpoint rel err {rel:.2e}, measured order {order:.2f}",
     )
 

@@ -43,12 +43,16 @@ class TestBasics:
             ("[embeddings]\nlambdas = 1\n", ["verify", "--suite", "embeddings"],
              "[embeddings] lambdas"),
             ("[counting]\nlambdas = 4\n", ["verify", "--suite", "counting"], "[counting] lambdas"),
+            ("[bilinear]\nlambdas = 4,4\n", ["verify", "--suite", "bilinear"], "[bilinear] lambdas"),
+            ("[embeddings]\ns_values = -0.5\nthetas = 1.0\n", ["verify", "--suite", "embeddings"],
+             "[embeddings] s_values, thetas"),
             ("[counting]\nm_cap = 0.5\n", ["verify", "--suite", "counting"], "[counting] m_cap"),
             ("[l4]\nn_fields = 0\n", ["verify", "--suite", "l4"], "[l4] n_fields"),
             ("lam = 8\n", ["solve"], "no section headers"),
         ],
         ids=["unknown-key", "unknown-section", "float", "int", "bool", "check-bound",
-             "one-lambda", "one-counting-lambda", "no-dyadic-size", "no-fields", "unparsable"],
+             "one-lambda", "one-counting-lambda", "repeated-lambda", "no-embedding-pair",
+             "no-dyadic-size", "no-fields", "unparsable"],
     )
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, ini, command, named):
         cfg = tmp_path / "cfg.ini"
@@ -93,6 +97,20 @@ class TestSolve:
         assert rc == 0
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["checks"]["reference_agreement"]["passed"]
+
+    def test_rejected_reference_step_is_a_finding(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[solve]\nlam = 2\nk = 8\nt = 0.1\ndt = 0.01\ndata = modes\n"
+            "data_modes = 1.0:32, -2.0:16j, 3.0:9.6\ncompare_reference = true\n"
+        )
+        out = tmp_path / "o"
+        assert run(["solve", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["checks"]["residual_below_tolerance"]["passed"]
+        check = manifest["checks"]["reference_agreement"]
+        assert not check["passed"] and "reduce dt" in check["detail"]["step_rejected"]
 
     def test_config_seed_used_without_flag(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -139,13 +157,13 @@ class TestVerify:
     def test_embeddings_small(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
-            "[embeddings]\nlambdas = 1,2\ns_values = -0.5\nthetas = 0.5\nn_fields = 40\n"
+            "[embeddings]\nlambdas = 1,2\ns_values = -0.5\nthetas = 0.5, 1.0\nn_fields = 40\n"
         )
         out = tmp_path / "o"
         rc = run(["verify", "--suite", "embeddings", "--config", str(cfg), "--out-dir", str(out)])
         assert rc == 0
         rows = json.loads((out / "embeddings.json").read_text())
-        assert len(rows) == 2
+        assert len(rows) == 2  # (s, theta) = (-0.5, 1.0) is skipped
 
     def test_l4_small(self, tmp_path):
         cfg = tmp_path / "cfg.ini"

@@ -23,6 +23,7 @@ from gblab.norms import h_norm
 from gblab.reduction import omega_multiplier
 from gblab.solver import (
     SolverConfig,
+    StepSizeRejection,
     _a2_closed_form,
     _a2_quadrature,
     a2_iterate,
@@ -418,7 +419,19 @@ class TestReference:
             ends[dt] = traj.coeff[traj.index_of_time(0.4)]
         e1 = np.abs(ends[1e-2] - ends[5e-3]).max()
         e2 = np.abs(ends[5e-3] - ends[2.5e-3]).max()
-        assert math.log2(e1 / e2) > 3.7
+        assert math.log2(e1 / e2) > 4.7
+
+    def test_step_guard_rejects_too_large_a_step(self):
+        lat = make_lattice(2.0, 8.0)
+        a = 32.0
+        u0 = field_from_modes(lat, {1.0: a, -2.0: 0.5j * a, 3.0: 0.3 * a})
+        with pytest.raises(StepSizeRejection):
+            reference_solve(u0, SolverConfig(lam=2.0, s=-0.5, T=0.1, dt=1e-2))
+        ends = []
+        for dt in (5e-3, 2.5e-4):
+            traj = reference_solve(u0, SolverConfig(lam=2.0, s=-0.5, T=0.1, dt=dt))
+            ends.append(traj.coeff[traj.index_of_time(0.1)])
+        assert np.abs(ends[0] - ends[1]).max() < 1e-9 * np.abs(ends[1]).max()
 
     def test_multiplier_built_once_per_lattice(self, monkeypatch):
         import gblab.solver
