@@ -38,7 +38,6 @@ from .solver import (
     SolverConfig,
     a2_iterate,
     bump_psi,
-    duhamel,
     free_evolve,
     nonlinearity,
     picard_solve,

@@ -70,9 +70,7 @@ class RegionPredicate:
                     out &= mod >= lo
                 out &= mod < hi
                 continue
-            if kind == "mod_vs_one":
-                ref = np.ones_like(mod)
-            elif kind == "mod_vs_k":
+            if kind == "mod_vs_k":
                 ref = np.broadcast_to(_bracket(k)[None, :], mod.shape)
             elif kind == "mod_vs_k2":
                 ref = np.broadcast_to((_bracket(k) ** 2)[None, :], mod.shape)

@@ -79,24 +79,22 @@ class SolverConfig:
     dt: float = 1e-2
     max_picard: int = 40
     contraction_tol: float = 1e-10
-    t_min: float = 0.0
     include_linear: bool = True
     include_quadratic: bool = True
 
     def __post_init__(self):
         if not self.dt > 0:
             raise LatticeError("dt must be positive")
-        n = (self.T - self.t_min) / self.dt
+        if not self.T > 0:
+            raise LatticeError("T must be positive")
+        n = self.T / self.dt
         if abs(n - round(n)) > 1e-9:
             raise LatticeError("dt must divide the solve interval")
-        n0 = -self.t_min / self.dt
-        if not (self.t_min <= 0.0 <= self.T) or abs(n0 - round(n0)) > 1e-9:
-            raise LatticeError("t = 0 must be a point of the time grid")
 
 
 def time_grid(cfg: SolverConfig) -> np.ndarray:
-    n = int(round((cfg.T - cfg.t_min) / cfg.dt))
-    return cfg.t_min + np.arange(n + 1) * cfg.dt
+    n = int(round(cfg.T / cfg.dt))
+    return np.arange(n + 1) * cfg.dt
 
 
 def free_evolve(u0: SpectralField, t: float) -> SpectralField:
@@ -206,30 +204,20 @@ def _phases(t: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
     return np.exp(1j * np.outer(t, lattice.k ** 2))
 
 
-def duhamel(F: Trajectory, t: float) -> SpectralField:
-    """integral_0^t of e^{i(t-t') dxx} F(t') dt', evaluated in the interaction
-    picture so the quadrature never sees the stiff k^2 phases directly."""
-    i1 = F.index_of_time(t)
-    phases = _phases(F.t, F.lattice)
-    rows = _prefix_integrals(F.coeff * phases, F.index_of_time(0.0), F.dt)
-    return SpectralField(F.lattice, np.conj(phases[i1]) * rows[i1])
-
-
-def _cumulative_simpson(G: np.ndarray, h: float, I: np.ndarray) -> None:
-    """Prefix integrals I[m] = int_{t_0}^{t_m} G dt, fourth-order consistent,
-    written into I (which may be a strided view).
+def _prefix_integrals(G: np.ndarray, h: float) -> np.ndarray:
+    """Prefix integrals I[m] = int_{t_0}^{t_m} G dt of rows G sampled at
+    t_0, t_0 + h, ..., fourth-order consistent; I[0] = 0.
 
     Even prefixes use composite Simpson pairs; odd prefixes add the 3-point
-    Newton-Cotes correction for the trailing interval.  The only scratch is
-    one array of half G's rows.
+    Newton-Cotes correction for the trailing interval.  Besides the returned
+    array, the only scratch is one array of half G's rows.
     """
     n = G.shape[0]
+    I = np.empty_like(G)
     I[0] = 0.0
-    if n < 2:
-        return
     if n == 2:
         I[1] = 0.5 * h * (G[0] + G[1])
-        return
+        return I
     p = 2 * ((n - 1) // 2)
     buf = 4.0 * G[1:p:2]
     buf += G[: p - 1 : 2]
@@ -246,30 +234,20 @@ def _cumulative_simpson(G: np.ndarray, h: float, I: np.ndarray) -> None:
     if n % 2 == 0:
         # ... or, on the last row, through the quadratic on (m-2, m-1, m)
         I[-1] = I[-2] + (h / 12.0) * (-G[-3] + 8.0 * G[-2] + 5.0 * G[-1])
-
-
-def _prefix_integrals(G: np.ndarray, i0: int, h: float) -> np.ndarray:
-    """Signed integrals int_{t_i0}^{t_m} G dt for every row m of G."""
-    out = np.empty_like(G)
-    _cumulative_simpson(G[i0:], h, out[i0:])
-    if i0 > 0:
-        # rows i0, i0-1, ..., 0 integrate backwards in time
-        _cumulative_simpson(G[i0::-1], h, out[i0::-1])
-        np.negative(out[:i0], out=out[:i0])
-    return out
+    return I
 
 
 def _picard_map(
-    rows: np.ndarray, u0: SpectralField, phases: np.ndarray, i0: int, cfg: SolverConfig
+    rows: np.ndarray, u0: SpectralField, phases: np.ndarray, cfg: SolverConfig
 ) -> np.ndarray:
     """Phi(u) = S(t) u0 - i int_0^t S(t - t') F(u(t')) dt' on every grid row;
-    phases are e^{+i k^2 t} on the grid and row i0 is t = 0."""
+    phases are e^{+i k^2 t} on the grid, whose first row is t = 0."""
     out = nonlinearity_rows(
         rows, u0.lattice, cfg.lam,
         include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
     )
     out *= phases  # interaction picture
-    out = _prefix_integrals(out, i0, cfg.dt)
+    out = _prefix_integrals(out, cfg.dt)
     out *= -1j
     out += u0.coeff[None, :]
     # back from the interaction picture: x conj(p) = conj(conj(x) p)
@@ -290,7 +268,7 @@ def _sup_hs(rows: np.ndarray, lattice: FrequencyLattice, cfg: SolverConfig) -> f
 def integral_residual(traj: Trajectory, u0: SpectralField, cfg: SolverConfig) -> float:
     """Sup-in-time H^s norm of u - Phi(u), with the Picard iteration's own Phi."""
     phases = _phases(traj.t, traj.lattice)
-    defect = _picard_map(traj.coeff, u0, phases, traj.index_of_time(0.0), cfg)
+    defect = _picard_map(traj.coeff, u0, phases, cfg)
     defect -= traj.coeff  # Phi(u) - u: the sign leaves the norm unchanged
     return _sup_hs(defect, traj.lattice, cfg)
 
@@ -328,7 +306,6 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
     t = time_grid(cfg)
     lattice = u0.lattice
-    i0 = int(np.argmin(np.abs(t)))
     phases = _phases(t, lattice)  # held across iterations
     current = np.conj(phases)
     current *= u0.coeff[None, :]
@@ -339,7 +316,7 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     bad_streak = 0
     converged = False
     for _ in range(cfg.max_picard):
-        new = _picard_map(current, u0, phases, i0, cfg)
+        new = _picard_map(current, u0, phases, cfg)
         current -= new
         d = _sup_hs(current, lattice, cfg)
         diffs.append(d)
@@ -376,7 +353,8 @@ class StepSizeRejection(RuntimeError):
 
 def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     """Dormand-Prince 5(4) in the interaction picture (an exponential
-    integrator: the stiff phases are handled exactly, the remainder is smooth).
+    integrator: the stiff phases are handled exactly, the remainder is smooth),
+    stepping forward from u0 at t = 0 across the grid of cfg.
 
     Every step is checked by the embedded pair's error estimate; one above
     _LOCAL_ERROR_CAP raises StepSizeRejection rather than returning polluted
@@ -398,30 +376,24 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
         )[0]
         return -1j * F * np.conj(e)
 
-    i0 = int(np.argmin(np.abs(t)))
     coeff = np.zeros((t.size, lattice.modes), dtype=np.complex128)
+    coeff[0] = u0.coeff
     stages = np.empty((7, lattice.modes), dtype=np.complex128)
-    for direction in (+1, -1):
-        idx = range(i0, t.size - 1) if direction > 0 else range(i0, 0, -1)
-        if not idx:
-            continue
-        v = u0.coeff.astype(np.complex128)
-        stages[0] = rhs(t[i0], v)
-        for i in idx:
-            j = i + direction
-            h = t[j] - t[i]
-            for s in range(1, 7):
-                w = v + h * (_DP_A[s, :s] @ stages[:s])
-                stages[s] = rhs(t[i] + _DP_C[s] * h, w)
-            err = float(np.abs(h * (_DP_E @ stages)).max())
-            if err > _LOCAL_ERROR_CAP * max(1.0, float(np.abs(v).max())):
-                raise StepSizeRejection(
-                    f"local error {err:.3e} at t={t[i]:.6g}; reduce dt"
-                )
-            v = w  # the fifth-order solution, where the last stage was taken
-            stages[0] = stages[6]
-            coeff[j] = v * np.exp(-1j * k2 * t[j])
-    coeff[i0] = u0.coeff
+    v = u0.coeff.astype(np.complex128)
+    stages[0] = rhs(t[0], v)
+    for i in range(t.size - 1):
+        h = t[i + 1] - t[i]
+        for s in range(1, 7):
+            w = v + h * (_DP_A[s, :s] @ stages[:s])
+            stages[s] = rhs(t[i] + _DP_C[s] * h, w)
+        err = float(np.abs(h * (_DP_E @ stages)).max())
+        if err > _LOCAL_ERROR_CAP * max(1.0, float(np.abs(v).max())):
+            raise StepSizeRejection(
+                f"local error {err:.3e} at t={t[i]:.6g}; reduce dt"
+            )
+        v = w  # the fifth-order solution, where the last stage was taken
+        stages[0] = stages[6]
+        coeff[i + 1] = v * np.exp(-1j * k2 * t[i + 1])
     return Trajectory(lattice, t, coeff)
 
 

@@ -49,10 +49,13 @@ class TestBasics:
             ("[counting]\nm_cap = 0.5\n", ["verify", "--suite", "counting"], "[counting] m_cap"),
             ("[l4]\nn_fields = 0\n", ["verify", "--suite", "l4"], "[l4] n_fields"),
             ("lam = 8\n", ["solve"], "no section headers"),
+            ("[solve]\nt = 0\n", ["solve"], "T must be positive"),
+            ("[solve]\nt = -0.25\n", ["solve"], "T must be positive"),
         ],
         ids=["unknown-key", "unknown-section", "float", "int", "bool", "check-bound",
              "one-lambda", "one-counting-lambda", "repeated-lambda", "no-embedding-pair",
-             "no-dyadic-size", "no-fields", "unparsable"],
+             "no-dyadic-size", "no-fields", "unparsable", "zero-interval",
+             "negative-interval"],
     )
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, ini, command, named):
         cfg = tmp_path / "cfg.ini"
@@ -60,7 +63,7 @@ class TestBasics:
         out = tmp_path / "o"
         assert run(command + ["--config", str(cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_printed_defaults_read_back_as_the_defaults(self, tmp_path, capsys):

@@ -14,7 +14,6 @@ from gblab.illposedness import make_phi
 from gblab.lattice import (
     LatticeError,
     SpectralField,
-    Trajectory,
     field_from_modes,
     make_lattice,
     zero_field,
@@ -26,11 +25,10 @@ from gblab.solver import (
     StepSizeRejection,
     _a2_closed_form,
     _a2_quadrature,
+    _prefix_integrals,
     a2_iterate,
     bump_psi,
-    duhamel,
     free_evolve,
-    free_trajectory,
     integral_residual,
     nonlinearity,
     nonlinearity_rows,
@@ -198,54 +196,34 @@ class TestSimpsonWeights:
 
 
 class TestDuhamel:
+    # the Duhamel rule: prefix integrals from the grid's first row, t = 0
     def test_zero_forcing(self, small_lattice):
-        t = np.linspace(0.0, 1.0, 65)
-        F = Trajectory(
-            small_lattice, t, np.zeros((t.size, small_lattice.modes), dtype=complex)
-        )
-        out = duhamel(F, 1.0)
-        assert np.abs(out.coeff).max() == 0.0
+        G = np.zeros((65, small_lattice.modes), dtype=complex)
+        assert np.abs(_prefix_integrals(G, 1.0 / 64)).max() == 0.0
 
-    def test_free_evolved_forcing(self, small_lattice, rng):
-        # F(t') = e^{-i k^2 t'} g_hat: integrand constant after unwinding
-        g = random_field(small_lattice, rng)
-        t = np.linspace(0.0, 0.8, 81)
-        F = free_trajectory(g, t)
-        out = duhamel(F, 0.8)
-        expected = 0.8 * free_evolve(g, 0.8).coeff
-        assert np.abs(out.coeff - expected).max() < 1e-12
+    def test_constant_rows(self, small_lattice, rng):
+        g = random_field(small_lattice, rng).coeff
+        t = np.arange(81) * 1e-2
+        out = _prefix_integrals(np.tile(g, (t.size, 1)), 1e-2)
+        assert np.abs(out - t[:, None] * g[None, :]).max() < 1e-12
 
     def test_oscillating_zero_mode_closed_form(self):
-        lat = make_lattice(1.0, 1.0)
         theta = 3.7
         # 500 intervals (Simpson pairs only) and 499 (the odd-prefix end rule)
         for n_points in (501, 500):
             t = np.linspace(0.0, 1.0, n_points)
-            rows = np.zeros((t.size, lat.modes), dtype=complex)
-            rows[:, lat.index_of(0.0)] = np.exp(1j * theta * t)
-            out = duhamel(Trajectory(lat, t, rows), 1.0)
+            out = _prefix_integrals(np.exp(1j * theta * t)[:, None], t[1])
             expected = (np.exp(1j * theta) - 1.0) / (1j * theta)
-            assert out.coeff[lat.index_of(0.0)] == pytest.approx(expected, abs=1e-10)
-
-    def test_negative_time(self, small_lattice, rng):
-        g = random_field(small_lattice, rng)
-        t = np.linspace(-0.6, 0.6, 121)
-        F = free_trajectory(g, t)
-        out = duhamel(F, -0.6)
-        expected = -0.6 * free_evolve(g, -0.6).coeff
-        assert np.abs(out.coeff - expected).max() < 1e-12
+            assert out[-1, 0] == pytest.approx(expected, abs=1e-10)
 
     def test_fourth_order_convergence(self):
-        lat = make_lattice(1.0, 2.0)
         theta = 5.0
 
         def value(n):
             t = np.linspace(0.0, 1.0, n + 1)
-            rows = np.zeros((t.size, lat.modes), dtype=complex)
-            rows[:, lat.index_of(1.0)] = np.exp(1j * theta * t) * np.exp(-1j * t)
-            return duhamel(Trajectory(lat, t, rows), 1.0).coeff[lat.index_of(1.0)]
+            return _prefix_integrals(np.exp(1j * theta * t)[:, None], 1.0 / n)[-1, 0]
 
-        exact = np.exp(-1j * 1.0) * (np.exp(1j * theta) - 1.0) / (1j * theta)
+        exact = (np.exp(1j * theta) - 1.0) / (1j * theta)
         errs = [abs(value(n) - exact) for n in (16, 32, 64)]
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 3.7
@@ -295,20 +273,20 @@ class TestPicard:
         # the first iterate it is the loop's second difference, bit for bit
         lat = make_lattice(4.0, 4.0)
         u0 = field_from_modes(lat, {1.0: 5e-2, -0.5: 2e-2j})
-        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, t_min=-0.2, dt=2e-3)
+        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.5, dt=2e-3)
         res = picard_solve(u0, cfg)
         assert integral_residual(res.iterates[0], u0, cfg) == res.report.diff_history[1]
 
     def test_odd_interval_counts(self):
-        # 25 steps forward and 5 back: both prefix sweeps end on an odd row
+        # 25 steps: the prefix sweep ends on an odd row, past its last Simpson pair
         lat = make_lattice(2.0, 4.0)
         u0 = field_from_modes(lat, {0.5: 0.05, -1.0: 0.02j})
-        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.25, t_min=-0.05, dt=1e-2, contraction_tol=1e-12)
+        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.25, dt=1e-2, contraction_tol=1e-12)
         res = picard_solve(u0, cfg)
         ref = reference_solve(u0, cfg)
         assert res.report.converged
         assert res.report.residual < 10 * cfg.contraction_tol * h_norm(u0, -0.5)
-        for t in (-0.05, 0.25):
+        for t in (0.24, 0.25):
             i = ref.index_of_time(t)
             assert np.abs(res.trajectory.coeff[i] - ref.coeff[i]).max() < 1e-8
 
@@ -379,10 +357,11 @@ class TestPicard:
 
 
 class TestSolverConfig:
-    def test_rejects_grid_without_t_zero(self):
-        # -0.25 + 0.1 m never hits 0: the grid would be -0.25, -0.15, ..., 0.25
-        with pytest.raises(ValueError):
-            SolverConfig(lam=1.0, s=-0.5, T=0.25, t_min=-0.25, dt=0.1)
+    def test_rejects_an_interval_that_is_not_positive(self):
+        # every solve grid starts at t = 0, so T is its length
+        for T in (0.0, -0.25):
+            with pytest.raises(LatticeError, match="T must be positive"):
+                SolverConfig(lam=1.0, s=-0.5, T=T, dt=0.05)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan])
     def test_rejects_a_step_that_is_not_positive(self, dt):
@@ -450,15 +429,6 @@ class TestReference:
             built.clear()
             reference_solve(u0, SolverConfig(lam=lam, s=-0.5, T=0.05, dt=5e-3))
             assert len(built) <= 1
-
-    def test_negative_time_branch(self, rng):
-        lat = make_lattice(1.0, 3.0)
-        u0 = random_field(lat, rng, scale=0.05)
-        cfg = SolverConfig(lam=1.0, s=-0.5, T=0.2, t_min=-0.2, dt=5e-3)
-        traj = reference_solve(u0, cfg)
-        res = picard_solve(u0, cfg)
-        i = traj.index_of_time(-0.2)
-        assert np.abs(traj.coeff[i] - res.trajectory.coeff[i]).max() < 1e-8
 
 
 class TestLinearTermNegligibility:
