@@ -22,7 +22,10 @@ from .lattice import (
 from .reduction import omega_multiplier
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_ROW_CHUNK = 256  # rows per padded transform in nonlinearity_rows
+# time rows per window of the Picard map and per chunk of _a2_quadrature, whose
+# scratch then spans a few windows: a Picard solve of 4097 x 513 peaks at 3.05
+# full-size arrays (three held), the quadrature at K = 256 traces 20 MB
+_ROW_CHUNK = 64
 _PLAN_CAP = 16  # product plans kept, one per (half_modes, lattice lam, lam)
 _DIVERGENCE_PATIENCE = 3  # consecutive non-contracting Picard steps tolerated
 _LOCAL_ERROR_CAP = 1e-8  # reference_solve's embedded-error budget, relative to max |v|
@@ -83,10 +86,11 @@ class SolverConfig:
     include_quadratic: bool = True
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise LatticeError("dt must be positive")
-        if not self.T > 0:
-            raise LatticeError("T must be positive")
+        for name, value in (("dt", self.dt), ("T", self.T)):
+            if not value > 0:
+                raise LatticeError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise LatticeError(f"{name} must be finite")
         n = self.T / self.dt
         if abs(n - round(n)) > 1e-9:
             raise LatticeError("dt must divide the solve interval")
@@ -145,30 +149,28 @@ def nonlinearity_rows(
 
     u + conj u is real, so its square takes real transforms of the j >= 0
     half of its spectrum, and the square's modes -J..-1 are the conjugates
-    of its modes 1..J.  Temporaries span _ROW_CHUNK rows at most.
+    of its modes 1..J.  Temporaries span the rows given: the Picard map
+    passes one window of at most _ROW_CHUNK + 1 rows, the reference
+    integrator one row.
     """
     rows = np.atleast_2d(rows)
     out = np.empty(rows.shape, dtype=np.complex128)
     J = lattice.half_modes
+    if include_linear:
+        # (u - conj u) on the spectral side: u_hat(k) - conj(u_hat(-k))
+        np.subtract(rows, np.conj(rows[:, ::-1]), out=out)
+        out /= 2.0 * lam * lam
+    else:
+        out.fill(0.0)
     if include_quadratic:
         n, mult = _product_plan(lattice, lam)
-    for lo in range(0, rows.shape[0], _ROW_CHUNK):
-        r = rows[lo : lo + _ROW_CHUNK]
-        o = out[lo : lo + _ROW_CHUNK]
-        if include_linear:
-            # (u - conj u) on the spectral side: u_hat(k) - conj(u_hat(-k))
-            np.subtract(r, np.conj(r[:, ::-1]), out=o)
-            o /= 2.0 * lam * lam
-        else:
-            o.fill(0.0)
-        if include_quadratic:
-            w = r[:, J:] + np.conj(r[:, J::-1])  # spectrum of u + conj(u), j >= 0
-            phys = np.fft.irfft(w, n, axis=-1)
-            phys *= phys
-            sq = np.fft.rfft(phys, axis=-1)[:, : J + 1]
-            sq *= mult
-            o[:, J:] += sq
-            o[:, :J] += np.conj(sq[:, J:0:-1])
+        w = rows[:, J:] + np.conj(rows[:, J::-1])  # spectrum of u + conj(u), j >= 0
+        phys = np.fft.irfft(w, n, axis=-1)
+        phys *= phys
+        sq = np.fft.rfft(phys, axis=-1)[:, : J + 1]
+        sq *= mult
+        out[:, J:] += sq
+        out[:, :J] += np.conj(sq[:, J:0:-1])
     return out
 
 
@@ -197,11 +199,6 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-2:2] = 2.0
     return w * (h / 3.0)
-
-
-def _phases(t: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
-    """e^{+i k^2 t} per grid time (rows) and mode: the interaction picture."""
-    return np.exp(1j * np.outer(t, lattice.k ** 2))
 
 
 def _prefix_integrals(G: np.ndarray, h: float) -> np.ndarray:
@@ -237,24 +234,82 @@ def _prefix_integrals(G: np.ndarray, h: float) -> np.ndarray:
     return I
 
 
+def _phase_block(lattice: FrequencyLattice, dt: float) -> np.ndarray:
+    """e^{+i k^2 r dt} for r = 0.._ROW_CHUNK: the interaction-picture phases
+    of one window relative to its first time.  The steps are uniform, so a
+    window starting at t_lo has the phases block * e^{+i k^2 t_lo}."""
+    return np.exp(1j * np.outer(np.arange(_ROW_CHUNK + 1) * dt, lattice.k ** 2))
+
+
+def _windows(n: int):
+    """(lo, hi) windows of rows lo..hi over a grid of n >= 2 rows, each
+    starting where the one before ended, with at most _ROW_CHUNK rows past lo.
+
+    lo is even, so a window's Simpson pairs are the whole grid's.  A last
+    window of two rows would fall to the trapezoid where the whole grid takes
+    the three-point end correction, so the window before it ends two rows
+    early and the last one holds four.
+    """
+    lo = 0
+    while lo < n - 1:
+        hi = min(lo + _ROW_CHUNK, n - 1)
+        if hi == n - 2:
+            hi -= 2
+        yield lo, hi
+        lo = hi
+
+
 def _picard_map(
-    rows: np.ndarray, u0: SpectralField, phases: np.ndarray, cfg: SolverConfig
-) -> np.ndarray:
-    """Phi(u) = S(t) u0 - i int_0^t S(t - t') F(u(t')) dt' on every grid row;
-    phases are e^{+i k^2 t} on the grid, whose first row is t = 0."""
-    out = nonlinearity_rows(
-        rows, u0.lattice, cfg.lam,
-        include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
-    )
-    out *= phases  # interaction picture
-    out = _prefix_integrals(out, cfg.dt)
-    out *= -1j
-    out += u0.coeff[None, :]
-    # back from the interaction picture: x conj(p) = conj(conj(x) p)
-    np.conjugate(out, out=out)
-    out *= phases
-    np.conjugate(out, out=out)
-    return out
+    rows: np.ndarray,
+    u0: SpectralField,
+    block: np.ndarray,
+    cfg: SolverConfig,
+    out: tuple = (),
+) -> float:
+    """Sup-in-time H^s norm of u - Phi(u) for the trajectory u = rows, where
+    Phi(u) = S(t) u0 - i int_0^t S(t - t') F(u(t')) dt' on the grid of cfg,
+    whose first row is t = 0.  Phi is written into every array of out, which
+    may hold rows itself.
+
+    Phi is computed one window (_windows) at a time.  A window takes F only
+    on the rows past its first: the first row's F, in the interaction
+    picture, and its prefix integral come from the window before, so no
+    row's F is computed twice and each row of rows is read before out
+    overwrites it.  The phases are block (_phase_block) times one row at the
+    window's first time.
+    """
+    lattice = u0.lattice
+    k2 = lattice.k ** 2
+    h = cfg.dt
+    sups = []
+    G_lo = I_lo = None
+    for lo, hi in _windows(rows.shape[0]):
+        first = 0 if G_lo is None else 1  # the window's first row not carried
+        phases = block[: hi - lo + 1] * np.exp(1j * (lo * h) * k2)
+        G = np.empty(phases.shape, dtype=np.complex128)
+        G[first:] = nonlinearity_rows(
+            rows[lo + first : hi + 1], lattice, cfg.lam,
+            include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
+        )
+        G[first:] *= phases[first:]  # interaction picture
+        if first:
+            G[0] = G_lo
+        G_lo = G[-1].copy()
+        phi = _prefix_integrals(G, h)
+        if first:
+            phi += I_lo
+        I_lo = phi[-1].copy()
+        phi *= -1j
+        phi += u0.coeff[None, :]
+        # back from the interaction picture: x conj(p) = conj(conj(x) p)
+        np.conjugate(phi, out=phi)
+        phi *= phases
+        np.conjugate(phi, out=phi)
+        new = slice(lo + first, hi + 1)
+        sups.append(_sup_hs(rows[new] - phi[first:], lattice, cfg))
+        for a in out:
+            a[new] = phi[first:]
+    return float(np.max(sups))  # np.max, unlike max, keeps a NaN
 
 
 def _sup_hs(rows: np.ndarray, lattice: FrequencyLattice, cfg: SolverConfig) -> float:
@@ -267,10 +322,7 @@ def _sup_hs(rows: np.ndarray, lattice: FrequencyLattice, cfg: SolverConfig) -> f
 
 def integral_residual(traj: Trajectory, u0: SpectralField, cfg: SolverConfig) -> float:
     """Sup-in-time H^s norm of u - Phi(u), with the Picard iteration's own Phi."""
-    phases = _phases(traj.t, traj.lattice)
-    defect = _picard_map(traj.coeff, u0, phases, cfg)
-    defect -= traj.coeff  # Phi(u) - u: the sign leaves the norm unchanged
-    return _sup_hs(defect, traj.lattice, cfg)
+    return _picard_map(traj.coeff, u0, _phase_block(traj.lattice, cfg.dt), cfg)
 
 
 @dataclass(frozen=True)
@@ -295,20 +347,24 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     Raises PicardDivergenceError after _DIVERGENCE_PATIENCE consecutive
     non-contracting steps; large data is expected to do this.
 
-    Memory: at its peak, inside the Picard map's prefix integrals, the loop
-    holds six rows x modes complex arrays (the phases e^{+i k^2 t}, the
-    current iterate, the first two iterates kept for the result, the
-    nonlinearity rows in the interaction picture and their prefix integrals)
-    and half of one more as Simpson scratch.  The nonlinearity's own
-    temporaries span _ROW_CHUNK rows; the final residual pass holds no more.
+    Memory: the loop holds three rows x modes complex arrays (the current
+    iterate, which each pass of the Picard map overwrites window by window,
+    and the first two iterates kept for the result) and the scratch of a few
+    windows of _ROW_CHUNK rows; the final residual pass holds no more.  The
+    solve of 4097 rows x 513 modes in tests/test_solver.py peaks at 3.05 of
+    these arrays.
     """
     if u0.lattice.lam < cfg.lam:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
     t = time_grid(cfg)
     lattice = u0.lattice
-    phases = _phases(t, lattice)  # held across iterations
-    current = np.conj(phases)
-    current *= u0.coeff[None, :]
+    block = _phase_block(lattice, cfg.dt)  # held across iterations
+    k2 = lattice.k ** 2
+    current = np.empty((t.size, lattice.modes), dtype=np.complex128)
+    for lo in range(0, t.size, _ROW_CHUNK):  # the free evolution e^{-i k^2 t} u0
+        rows = current[lo : lo + _ROW_CHUNK]
+        np.conjugate(block[: rows.shape[0]] * np.exp(1j * (lo * cfg.dt) * k2), out=rows)
+        rows *= u0.coeff[None, :]
     scale = max(_sup_hs(current, lattice, cfg), 1e-300)
     iterates = []
     ratios: list = []
@@ -316,9 +372,8 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     bad_streak = 0
     converged = False
     for _ in range(cfg.max_picard):
-        new = _picard_map(current, u0, phases, cfg)
-        current -= new
-        d = _sup_hs(current, lattice, cfg)
+        keep = np.empty_like(current) if len(iterates) < 2 else None
+        d = _picard_map(current, u0, block, cfg, (current,) if keep is None else (current, keep))
         diffs.append(d)
         if not np.isfinite(d):
             raise PicardDivergenceError(ratios + [float("inf")])
@@ -328,13 +383,11 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
             bad_streak = bad_streak + 1 if r >= 1.0 else 0
             if bad_streak >= _DIVERGENCE_PATIENCE:
                 raise PicardDivergenceError(ratios)
-        if len(iterates) < 2:
-            iterates.append(Trajectory(lattice, t, new.copy()))
-        current = new
+        if keep is not None:
+            iterates.append(Trajectory(lattice, t, keep))
         if d <= cfg.contraction_tol * scale:
             converged = True
             break
-    del phases
     traj = Trajectory(lattice, t, current)
     residual = integral_residual(traj, u0, cfg)
     report = PicardReport(
@@ -440,7 +493,9 @@ def _support_theta_max(phi: SpectralField) -> float:
     return max(2.0 * kmax_out * (kmax_out + k1max), 1.0)
 
 
-def _a2_quadrature(phi: SpectralField, t0: float, lam: float, chunk: int = 512) -> np.ndarray:
+def _a2_quadrature(
+    phi: SpectralField, t0: float, lam: float, chunk: int = _ROW_CHUNK
+) -> np.ndarray:
     """Independent path: free trajectory, dealiased physical products, Simpson."""
     lattice = phi.lattice
     J = lattice.half_modes

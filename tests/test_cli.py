@@ -51,11 +51,13 @@ class TestBasics:
             ("lam = 8\n", ["solve"], "no section headers"),
             ("[solve]\nt = 0\n", ["solve"], "T must be positive"),
             ("[solve]\nt = -0.25\n", ["solve"], "T must be positive"),
+            ("[solve]\nt = inf\n", ["solve"], "T must be finite"),
+            ("[solve]\ndt = inf\n", ["solve"], "dt must be finite"),
         ],
         ids=["unknown-key", "unknown-section", "float", "int", "bool", "check-bound",
              "one-lambda", "one-counting-lambda", "repeated-lambda", "no-embedding-pair",
              "no-dyadic-size", "no-fields", "unparsable", "zero-interval",
-             "negative-interval"],
+             "negative-interval", "infinite-interval", "infinite-step"],
     )
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, ini, command, named):
         cfg = tmp_path / "cfg.ini"

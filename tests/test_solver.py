@@ -16,16 +16,22 @@ from gblab.lattice import (
     SpectralField,
     field_from_modes,
     make_lattice,
+    pad_size,
     zero_field,
 )
 from gblab.norms import h_norm
 from gblab.reduction import omega_multiplier
 from gblab.solver import (
+    _ROW_CHUNK,
     SolverConfig,
     StepSizeRejection,
     _a2_closed_form,
     _a2_quadrature,
+    _phase_block,
+    _picard_map,
     _prefix_integrals,
+    _sup_hs,
+    _windows,
     a2_iterate,
     bump_psi,
     free_evolve,
@@ -136,8 +142,9 @@ class TestNonlinearity:
         assert np.abs(np.delete(out.coeff, lat.index_of(0.0))).max() < 1e-14
 
     # J = 6, then J = 5 and J = 21, where 3J + 1 is a power of two and the
-    # padded grid has no point to spare; 300 rows cross the 256-row chunk;
-    # lam below the lattice's own is the line emulation's refined grid
+    # padded grid has no point to spare; 300 rows in one call, more than a
+    # Picard window; lam below the lattice's own is the line emulation's
+    # refined grid
     @pytest.mark.parametrize(
         "lattice_lam, K, lam, n_rows, include_linear, include_quadratic",
         [
@@ -290,10 +297,39 @@ class TestPicard:
             i = ref.index_of_time(t)
             assert np.abs(res.trajectory.coeff[i] - ref.coeff[i]).max() < 1e-8
 
+    # intervals on both sides of one and two windows; C + 1 and 2C + 1 would
+    # leave a last window of two rows
+    @pytest.mark.parametrize(
+        "intervals",
+        [_ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1, _ROW_CHUNK + 2,
+         2 * _ROW_CHUNK - 1, 2 * _ROW_CHUNK + 1],
+    )
+    def test_windowed_map_matches_the_whole_grid(self, rng, intervals):
+        lat = make_lattice(2.0, 4.0)
+        dt = 2.0**-7
+        cfg = SolverConfig(lam=2.0, s=-0.5, T=intervals * dt, dt=dt)
+        t = time_grid(cfg)
+        u0 = random_field(lat, rng)
+        rows = np.array([random_field(lat, rng, scale=0.5).coeff for _ in t])
+        windows = list(_windows(t.size))
+        assert windows[0][0] == 0 and windows[-1][1] == t.size - 1
+        assert all(a[1] == b[0] and b[0] % 2 == 0 for a, b in zip(windows, windows[1:]))
+        assert all(0 < hi - lo <= _ROW_CHUNK for lo, hi in windows)
+        assert windows[-1][1] - windows[-1][0] >= 2
+        # oracle: F on every row, exact phases, one prefix rule over the grid
+        phases = np.exp(1j * np.outer(t, lat.k**2))
+        oracle = _prefix_integrals(nonlinearity_rows(rows, lat, cfg.lam) * phases, dt)
+        oracle = (u0.coeff[None, :] - 1j * oracle) * np.conj(phases)
+        got = np.full_like(rows, np.nan)
+        sup = _picard_map(rows, u0, _phase_block(lat, dt), cfg, (got,))
+        assert np.abs(got - oracle).max() <= 1e-13 * np.abs(oracle).max()
+        assert sup == pytest.approx(_sup_hs(rows - oracle, lat, cfg), rel=1e-12)
+
     def test_peak_memory_matches_the_array_count(self):
-        # picard_solve's docstring counts six rows x modes complex arrays and
-        # half of one more at its peak; a fresh process reads its own
-        # high-water mark, since ru_maxrss of a child inherits the parent's
+        # picard_solve's docstring counts three rows x modes complex arrays
+        # (the current iterate and the two kept ones) and a few windows of
+        # scratch at its peak, measured at 3.05; a fresh process reads its
+        # own high-water mark, since ru_maxrss of a child inherits the parent's
         if not Path("/proc/self/status").is_file():
             pytest.skip("needs /proc/self/status")
         script = textwrap.dedent(
@@ -331,7 +367,7 @@ class TestPicard:
         r = json.loads(proc.stdout)
         assert r["array"] >= 32 * 2**20
         assert r["iterations"] >= 3  # both kept iterates are alive during the map
-        assert r["peak"] - r["base"] <= 6.5 * r["array"]
+        assert r["peak"] - r["base"] <= 3.5 * r["array"]
 
     def test_divergence_raises_with_history(self):
         from gblab.solver import PicardDivergenceError
@@ -367,6 +403,12 @@ class TestSolverConfig:
     def test_rejects_a_step_that_is_not_positive(self, dt):
         with pytest.raises(LatticeError, match="dt must be positive"):
             SolverConfig(lam=1.0, s=-0.5, T=0.25, dt=dt)
+
+    def test_rejects_an_infinite_interval_or_step(self):
+        with pytest.raises(LatticeError, match="T must be finite"):
+            SolverConfig(lam=1.0, s=-0.5, T=math.inf, dt=0.05)
+        with pytest.raises(LatticeError, match="dt must be finite"):
+            SolverConfig(lam=1.0, s=-0.5, T=0.25, dt=math.inf)
 
 
 class TestReference:
@@ -501,6 +543,22 @@ class TestA2Iterate:
         chunked = _a2_quadrature(phi, 0.4, 2.0, chunk=7)
         assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
         assert np.linalg.norm(whole - closed) <= 1e-8 * np.linalg.norm(closed)
+
+    def test_quadrature_memory_scales_with_the_chunk(self):
+        # the default inflate's largest profile, K = 256 and N = 241.75:
+        # about 2000 quadrature rows on a pad of 4096 points
+        import tracemalloc
+
+        lam, t0 = 4.0, 0.5
+        phi = make_phi(lam, 241.75, K=256.0)
+        bound = 6 * _ROW_CHUNK * pad_size(phi.lattice.half_modes) * 16
+        tracemalloc.start()
+        try:
+            _a2_quadrature(phi, t0, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
     def test_closed_form_matches_per_mode_loop(self, rng):
         def per_mode_loop(phi, t0, lam):
