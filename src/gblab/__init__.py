@@ -10,7 +10,6 @@ from .lattice import (
     dump_spectrum,
     field_from_modes,
     forward_transform,
-    inverse_transform,
     load_field,
     load_spacetime,
     load_spectrum,
@@ -20,11 +19,12 @@ from .lattice import (
     x_grid,
     zero_field,
 )
-from .reduction import GBState, gb_to_qnls, omega_sq, qnls_to_gb, rescale_data
+from .reduction import GBState, gb_to_qnls, qnls_to_gb, rescale_data
 from .norms import (
     NormSpec,
     RegionPredicate,
     besov_norm,
+    bump_psi,
     dyadic_shells,
     h_norm,
     project,
@@ -37,9 +37,7 @@ from .solver import (
     PicardDivergenceError,
     SolverConfig,
     a2_iterate,
-    bump_psi,
     free_evolve,
-    nonlinearity,
     picard_solve,
     reference_solve,
 )

@@ -4,7 +4,6 @@ measure the loss, and the L4/dispersive-norm ratio probe."""
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass
@@ -13,6 +12,8 @@ from functools import partial
 import numpy as np
 
 from .lattice import (
+    SQRT_TWO_PI,
+    TWO_PI,
     LatticeError,
     SpacetimeSpectrum,
     inverse_rows,
@@ -20,10 +21,8 @@ from .lattice import (
     make_tau_grid,
     pad_size,
 )
-from .norms import ws_norm, xsb_norm
+from .norms import modulation, ws_norm, xsb_norm
 from .reduction import omega_multiplier
-
-TWO_PI = 2.0 * math.pi
 
 KINDS = ("u vbar", "u v", "ubar vbar")
 
@@ -97,9 +96,8 @@ def bilinear_image(
         tau = u.tau[it]
     else:
         tau, ik = u.tau[:, None], np.arange(shape[1])
-    k = u.lattice.k[ik]
     scale = u.dtau / (TWO_PI * u.lattice.lam)
-    img = raw * scale * omega_multiplier(u.lattice)[ik] / np.sqrt(1.0 + (tau + k * k) ** 2)
+    img = raw * scale * omega_multiplier(u.lattice)[ik] / modulation(tau, u.lattice.k[ik])
     if cells:
         # the weights are per cell, so from_cells may add the weighted products
         return SpacetimeSpectrum.from_cells(u.lattice, u.tau, it, ik, img)
@@ -179,21 +177,6 @@ class ProbeReport:
     max_ratio: float
     skipped: int
     seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "generator": self.generator,
-                "s": self.s,
-                "lambda": self.lam,
-                "ratios": self.ratios,
-                "max_ratio": self.max_ratio,
-                "skipped": self.skipped,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
 
 
 def ratio_probe(
@@ -278,7 +261,7 @@ def physical_samples(u: SpacetimeSpectrum):
     spec[: n_tau - half_t] = rows[half_t:]
     spec[n_t - half_t :] = rows[:half_t]
     # dtau sum over tau with its 1/sqrt(2pi)
-    phys = np.fft.ifft(spec, axis=0) * (n_t * u.dtau / math.sqrt(TWO_PI))
+    phys = np.fft.ifft(spec, axis=0) * (n_t * u.dtau / SQRT_TWO_PI)
     dt = TWO_PI / (n_t * u.dtau)
     dx = u.lattice.circumference / n_x
     return phys, dt, dx

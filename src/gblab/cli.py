@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .bilinear_probe import l4_ratio, slope_sweep
 from .illposedness import (
+    VARIANTS,
     InflationConfig,
     InflationError,
     inflation_sweep,
@@ -40,8 +41,9 @@ from .lattice import (
     load_spacetime,
     make_lattice,
     make_tau_grid,
+    zero_field,
 )
-from .norms import NormSpec, h_norm, norm_report, ws_norm, xsb_norm, ys_norm
+from .norms import FAMILIES, NormSpec, h_norm, modulation, norm_report, ws_norm, xsb_norm, ys_norm
 from .resonance import (
     CountingCase,
     CountingError,
@@ -90,6 +92,15 @@ def _number(kind, least):
     return convert
 
 
+def _choice(*words):
+    """Converter for one of the given words."""
+    def convert(text: str) -> str:
+        if text not in words:
+            raise ValueError(f"must be one of {', '.join(words)}")
+        return text
+    return convert
+
+
 def _optional_float(text: str) -> float | None:
     return float(text) if text.strip() else None
 
@@ -122,7 +133,7 @@ CONFIG = {
         "k": ("4.0", float),
         "max_picard": ("40", int),
         "contraction_tol": ("1e-10", float),
-        "data": ("modes", str),
+        "data": ("modes", _choice("zero", "modes", "gaussian")),
         "data_modes": ("1.0:0.05,-0.5:0.02j", _modes),
         "seed": ("7", int),
         "compare_reference": ("false", _bool),
@@ -155,11 +166,11 @@ CONFIG = {
         "k": ("256.0", float),
         "cond_factor": ("2.0", float),
         "n_list": ("", _floats(0)),
-        "variant": ("torus", str),
+        "variant": ("torus", _choice(*VARIANTS)),
         "report_s": ("-0.5", _floats(0)),
     },
     "norms": {
-        "family": ("Ws", str),
+        "family": ("Ws", _choice(*FAMILIES)),
         "s": ("-0.5", float),
         "b": ("", _optional_float),
         "m_max": ("", _optional_float),
@@ -251,17 +262,14 @@ def cmd_solve(conf: dict, text: dict, out_dir: Path, seed: int | None) -> int:
     seed = seed if seed is not None else conf["seed"]
     manifest = Manifest("solve", text, seed)
     lattice = make_lattice(conf["lam"], conf["k"])
-    kind = conf["data"]
-    if kind == "zero":
-        u0 = SpectralField(lattice, np.zeros(lattice.modes, dtype=complex))
-    elif kind == "modes":
+    if conf["data"] == "zero":
+        u0 = zero_field(lattice)
+    elif conf["data"] == "modes":
         u0 = field_from_modes(lattice, conf["data_modes"])
-    elif kind == "gaussian":
+    else:  # gaussian, the last kind the config admits
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(lattice.modes) + 1j * rng.standard_normal(lattice.modes)
         u0 = SpectralField(lattice, 0.01 * c * (1 + lattice.k**2) ** -1)
-    else:
-        raise ConfigError(f"[solve] data: unknown data kind {kind!r}")
     cfg = SolverConfig(
         lam=conf["lam"], s=conf["s"], T=conf["t"], dt=conf["dt"],
         max_picard=conf["max_picard"], contraction_tol=conf["contraction_tol"],
@@ -392,7 +400,7 @@ def _embedding_cell(lam, s, theta, n_fields, rng):
     lattice = make_lattice(lam, 4.0)
     tau = make_tau_grid(80.0, 0.5)
     k = lattice.k
-    mod = np.sqrt(1.0 + (tau[:, None] + (k * k)[None, :]) ** 2)
+    mod = modulation(tau[:, None], k)
     worst = {"x_s1_to_ws": 0.0, "mixed_to_ws": 0.0, "ws_to_xs0": 0.0, "ws_to_ys": 0.0}
     for _ in range(n_fields):
         a = rng.uniform(0.2, 1.2)
@@ -472,8 +480,7 @@ def _verify_l4(conf, manifest, out_dir, seed):
         rng = np.random.default_rng(L4_SEED + seed)
         lattice = make_lattice(lam, 2.0)
         tau = make_tau_grid(20.0, 0.5)
-        k = lattice.k
-        mod = np.sqrt(1.0 + (tau[:, None] + (k * k)[None, :]) ** 2)
+        mod = modulation(tau[:, None], lattice.k)
         vals = []
         for _ in range(conf["n_fields"]):
             c = (

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .lattice import (
+    TWO_PI,
     FrequencyLattice,
-    LatticeError,
     SpectralField,
     make_lattice,
 )
@@ -27,9 +27,9 @@ from .solver import (
     picard_solve,
 )
 
-TWO_PI = 2.0 * math.pi
 LOW_BAND = 1.0  # |k| <= LOW_BAND is the low band of the remainder proxy
 LINE_REFINE = 20  # the line variant's lattice is this many times finer
+VARIANTS = ("torus", "line")  # the data families make_phi builds
 
 
 class InflationError(ValueError):
@@ -70,13 +70,18 @@ def make_phi(lam: float, N: float, variant: str = "torus",
 
 
 DEFAULT_COND_FACTOR = 100.0
+# the scan's narrowed phase window, inside check_cond_n's [pi/2, 3 pi/2]
+SCAN_PHASE_LO = 0.75 * math.pi
+SCAN_PHASE_HI = 1.25 * math.pi
+A2_THRESHOLD = 0.05  # a2_lower_bound's constant c in c lam^(-1/2) / N
 
 
 def check_cond_n(lam: float, N: float, t0: float,
                  factor: float = DEFAULT_COND_FACTOR) -> tuple[bool, dict]:
     """Admissibility of (lam, N, t0): positivity, the separation 2 N t0 >=
     factor * lam, and the phase 2 N t0 / lam landing in [pi/2, 3 pi/2] mod 2 pi
-    (so the second iterate's oscillatory factor stays away from zero)."""
+    (so the second iterate's oscillatory factor |e^(i theta) - 1| =
+    2 |sin(theta / 2)| is at least sqrt(2))."""
     phase = (2.0 * N * t0 / lam) % TWO_PI
     diag = {
         "positive": N > 0,
@@ -86,8 +91,6 @@ def check_cond_n(lam: float, N: float, t0: float,
         "osc_factor": abs(np.exp(-2j * N * t0 / lam) - 1.0),
     }
     ok = diag["positive"] and diag["separation"] and diag["phase_window"]
-    if ok and diag["osc_factor"] < math.sqrt(2.0) - 1e-9:
-        raise InflationError("phase window must force |e^(i theta) - 1| >= sqrt(2)")
     return ok, diag
 
 
@@ -97,8 +100,6 @@ def scan_cond_n(
     k_cap: float,
     factor: float = DEFAULT_COND_FACTOR,
     count: int = 6,
-    phase_lo: float = 0.75 * math.pi,
-    phase_hi: float = 1.25 * math.pi,
     avoid_band: tuple | None = None,
 ) -> list:
     """Smallest-to-largest admissible lattice frequencies below the truncation,
@@ -115,7 +116,7 @@ def scan_cond_n(
     for j in range(j_lo, j_hi + 1):
         N = j / lam
         ok, diag = check_cond_n(lam, N, t0, factor)
-        if ok and phase_lo <= diag["phase"] <= phase_hi:
+        if ok and SCAN_PHASE_LO <= diag["phase"] <= SCAN_PHASE_HI:
             passing.append(N)
     if len(passing) < count:
         raise InflationError(
@@ -156,18 +157,16 @@ def a2_lower_bound(
     t0: float,
     s: float,
     variant: str = "torus",
-    c_threshold: float = 0.05,
-    cond_factor: float = DEFAULT_COND_FACTOR,
 ) -> tuple[float, float, bool]:
     """Sobolev size of the second iterate on the concentrated profile against
     the lam^(-1/2)/N scaling; returns (value, threshold bound, pass)."""
-    ok, diag = check_cond_n(lam, N, t0, cond_factor)
+    ok, diag = check_cond_n(lam, N, t0)
     if not ok:
         failing = [k for k, v in diag.items() if v is False]
         raise InflationError(f"admissibility failed: {failing}, diag={diag}")
     phi = make_phi(lam, N, variant)
     value = h_norm(a2_iterate(phi, t0, lam), s)
-    bound = c_threshold * lam**-0.5 / N
+    bound = A2_THRESHOLD * lam**-0.5 / N
     return value, bound, bool(value >= bound)
 
 
@@ -194,7 +193,7 @@ class InflationConfig:
             raise InflationError("t0 must lie in (0, 1]")
         if self.lam < 1.0:
             raise InflationError("lam must be >= 1")
-        if self.variant not in ("torus", "line"):
+        if self.variant not in VARIANTS:
             raise InflationError(f"unknown variant {self.variant}")
         for N in self.n_list:
             ok, _ = check_cond_n(self.lam, N, self.t0, self.cond_factor)
@@ -244,10 +243,9 @@ def _solver_dt(cfg: InflationConfig, N: float, lattice: FrequencyLattice) -> flo
     return cfg.t0 / n
 
 
-def _low_band_h_norm(f: SpectralField, s: float) -> float:
-    mask = np.abs(f.lattice.k) <= LOW_BAND
-    w = (1.0 + f.lattice.k**2) ** s
-    return float(np.sqrt(np.sum(w * mask * np.abs(f.coeff) ** 2) / f.lattice.lam))
+def _low_band(f: SpectralField) -> SpectralField:
+    """f with every mode above |k| = LOW_BAND set to zero."""
+    return SpectralField(f.lattice, np.where(np.abs(f.lattice.k) <= LOW_BAND, f.coeff, 0.0))
 
 
 def inflation_sweep(cfg: InflationConfig) -> InflationReport:
@@ -330,10 +328,11 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
             continue
         residue = SpectralField(lattice, u_end.coeff - u1.coeff)
         w = SpectralField(lattice, u_end.coeff - u1.coeff - u2.coeff)
+        u_low = _low_band(u_end)
         for s in s_values:
             norms[s]["solution"] = h_norm(u_end, s)
             norms[s]["residue"] = h_norm(residue, s)
-            norms[s]["solution_low"] = _low_band_h_norm(u_end, s)
+            norms[s]["solution_low"] = h_norm(u_low, s)
         rows.append(
             InflationRow(
                 N=N,
@@ -341,7 +340,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                 dt=dt,
                 error=None,
                 norms=norms,
-                w_proxy=_low_band_h_norm(w, -0.5),
+                w_proxy=h_norm(_low_band(w), -0.5),
                 w_full=h_norm(w, -0.5),
                 picard_iterations=iterations,
             )

@@ -92,10 +92,6 @@ class SpectralField:
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 
-    def l2_norm(self) -> float:
-        """L2(T_lam) norm via Plancherel with the 1/lam counting measure."""
-        return float(np.sqrt(np.sum(np.abs(self.coeff) ** 2) / self.lattice.lam))
-
 
 def zero_field(lattice: FrequencyLattice) -> SpectralField:
     return SpectralField(lattice, np.zeros(lattice.modes, dtype=np.complex128))
@@ -157,9 +153,23 @@ def inverse_rows(rows: np.ndarray, lattice: FrequencyLattice, n: int) -> np.ndar
     return np.fft.ifft(spec, axis=-1) * (n / (SQRT_TWO_PI * lattice.lam))
 
 
-def inverse_transform(field: SpectralField, n: int | None = None) -> np.ndarray:
-    """Physical samples on the uniform grid of [0, 2*pi*lam)."""
-    return inverse_rows(field.coeff, field.lattice, field.lattice.modes if n is None else n)
+def _freeze_grid(obj, axis: str, label: str, rows: str) -> None:
+    """Check that obj's `axis` array is a uniform 1-d grid of >= 2 points and
+    that its coeff is (grid size, modes), then freeze both in place; the
+    errors name the grid by `label` and its size by `rows`."""
+    t = np.asarray(getattr(obj, axis), dtype=np.float64)
+    c = np.asarray(obj.coeff, dtype=np.complex128)
+    if t.ndim != 1 or t.size < 2:
+        raise LatticeError(f"{label} grid must be 1-d with >= 2 points")
+    d = np.diff(t)
+    if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * max(abs(d[0]), 1e-300)):
+        raise LatticeError(f"{label} grid must be uniform")
+    if c.shape != (t.size, obj.lattice.modes):
+        raise LatticeError(f"coeff shape {c.shape} != ({rows}, modes)")
+    t.setflags(write=False)
+    c.setflags(write=False)
+    object.__setattr__(obj, axis, t)
+    object.__setattr__(obj, "coeff", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,19 +209,7 @@ class SpacetimeSpectrum:
         return spec
 
     def __post_init__(self):
-        t = np.asarray(self.tau, dtype=np.float64)
-        c = np.asarray(self.coeff, dtype=np.complex128)
-        if t.ndim != 1 or t.size < 2:
-            raise LatticeError("tau grid must be 1-d with >= 2 points")
-        d = np.diff(t)
-        if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * abs(d[0])):
-            raise LatticeError("tau grid must be uniform")
-        if c.shape != (t.size, self.lattice.modes):
-            raise LatticeError(f"coeff shape {c.shape} != (n_tau, modes)")
-        t.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "tau", t)
-        object.__setattr__(self, "coeff", c)
+        _freeze_grid(self, "tau", "tau", "n_tau")
 
     @property
     def dtau(self) -> float:
@@ -219,11 +217,6 @@ class SpacetimeSpectrum:
 
     def with_coeff(self, coeff: np.ndarray) -> "SpacetimeSpectrum":
         return SpacetimeSpectrum(self.lattice, self.tau, coeff)
-
-    def l2_norm(self) -> float:
-        """l2_k L2_tau norm with the lattice measure and dtau weights."""
-        w = np.sum(np.abs(self.coeff) ** 2) * self.dtau / self.lattice.lam
-        return float(np.sqrt(w))
 
 
 def make_tau_grid(tau_max: float, dtau: float) -> np.ndarray:
@@ -241,19 +234,7 @@ class Trajectory:
     coeff: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        c = np.asarray(self.coeff, dtype=np.complex128)
-        if t.ndim != 1 or t.size < 2:
-            raise LatticeError("time grid must be 1-d with >= 2 points")
-        d = np.diff(t)
-        if not np.allclose(d, d[0], rtol=1e-9, atol=1e-12 * max(abs(d[0]), 1e-300)):
-            raise LatticeError("time grid must be uniform")
-        if c.shape != (t.size, self.lattice.modes):
-            raise LatticeError(f"coeff shape {c.shape} != (n_t, modes)")
-        t.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "coeff", c)
+        _freeze_grid(self, "t", "time", "n_t")
 
     @property
     def dt(self) -> float:

@@ -1,5 +1,7 @@
 """Sobolev, dispersive, and Besov-type norms on lattice spectra, plus the
 modulation/frequency projections and dyadic shell decompositions they use.
+The weights <k>^(2s) and <tau+k^2> and the Littlewood-Paley bump are defined
+here once, for every module that weighs a spectrum.
 
 Region conventions (fixed so the pieces form a genuine partition): the "at
 most comparable" comparisons in region predicates are implemented as <= with
@@ -17,6 +19,7 @@ import numpy as np
 from .lattice import LatticeError, SpacetimeSpectrum, SpectralField
 
 MUCH_GREATER = 4.0
+FAMILIES = ("Hs", "Xsb", "Ys", "Ws", "Besov")  # the norms NormSpec names
 
 
 def _bracket(x: np.ndarray) -> np.ndarray:
@@ -24,31 +27,49 @@ def _bracket(x: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + np.asarray(x, dtype=np.float64) ** 2)
 
 
+def sobolev_weight(k: np.ndarray, s: float) -> np.ndarray:
+    """<k>^(2s), the weight of |u_hat(k)|^2 in the squared H^s norm."""
+    return _bracket(k) ** (2.0 * s)
+
+
+def modulation(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """<tau + k^2>, the distance of (tau, k) from the dispersive curve;
+    tau and k broadcast against each other."""
+    return _bracket(tau + k * k)
+
+
+def bump_psi(t):
+    """Smooth cutoff: 1 on [-1,1], exp(1 - 1/(1-(|t|-1)^2)) on 1<|t|<2, 0 outside."""
+    t = np.asarray(t, dtype=np.float64)
+    a = np.abs(t)
+    out = np.zeros_like(a)
+    out[a <= 1.0] = 1.0
+    edge = (a > 1.0) & (a < 2.0)
+    x = a[edge] - 1.0
+    out[edge] = np.exp(1.0 - 1.0 / (1.0 - x * x))
+    if np.ndim(t) == 0:
+        return float(out)
+    return out
+
+
 def h_norm(phi: SpectralField, s: float) -> float:
     """Sobolev norm ((1/lam) sum_k <k>^(2s) |phi_hat(k)|^2)^(1/2)."""
-    w = _bracket(phi.lattice.k) ** (2.0 * s)
+    w = sobolev_weight(phi.lattice.k, s)
     return float(np.sqrt(np.sum(w * np.abs(phi.coeff) ** 2) / phi.lattice.lam))
-
-
-def _grids(u: SpacetimeSpectrum):
-    k = u.lattice.k
-    mod = _bracket(u.tau[:, None] + (k * k)[None, :])
-    return k, mod
 
 
 def xsb_norm(u: SpacetimeSpectrum, s: float, b: float) -> float:
     """Weighted l2_k L2_tau norm with weights <k>^s <tau+k^2>^b."""
-    k, mod = _grids(u)
-    w = _bracket(k)[None, :] ** (2.0 * s) * mod ** (2.0 * b)
+    k = u.lattice.k
+    w = sobolev_weight(k, s)[None, :] * modulation(u.tau[:, None], k) ** (2.0 * b)
     total = np.sum(w * np.abs(u.coeff) ** 2) * u.dtau / u.lattice.lam
     return float(np.sqrt(total))
 
 
 def ys_norm(u: SpacetimeSpectrum, s: float) -> float:
     """l2_k L1_tau norm with <k>^s weight; controls sup-in-time Sobolev norms."""
-    k = u.lattice.k
     l1 = np.sum(np.abs(u.coeff), axis=0) * u.dtau
-    w = _bracket(k) ** (2.0 * s)
+    w = sobolev_weight(u.lattice.k, s)
     return float(np.sqrt(np.sum(w * l1**2) / u.lattice.lam))
 
 
@@ -62,7 +83,7 @@ class RegionPredicate:
 
     def mask(self, u: SpacetimeSpectrum) -> np.ndarray:
         k = u.lattice.k
-        mod = _bracket(u.tau[:, None] + (k * k)[None, :])
+        mod = modulation(u.tau[:, None], k)
         out = np.ones(mod.shape, dtype=bool)
         for kind, lo, hi in self._terms:
             if kind == "mod_shell":
@@ -153,8 +174,7 @@ def dyadic_shells(u: SpacetimeSpectrum, m_max: float | None = None):
 
 def grid_mod_cap(u: SpacetimeSpectrum) -> float:
     """Smallest dyadic M whose shell family covers every grid cell."""
-    k = u.lattice.k
-    top = float(_bracket(np.abs(u.tau).max() + k.max() ** 2))
+    top = float(modulation(np.abs(u.tau).max(), u.lattice.k.max()))
     return 2.0 ** math.ceil(math.log2(max(top, 1.0)))
 
 
@@ -168,7 +188,7 @@ class NormSpec:
     m_max: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("Hs", "Xsb", "Ys", "Ws", "Besov"):
+        if self.family not in FAMILIES:
             raise LatticeError(f"unknown norm family {self.family}")
         if self.m_max is not None:
             m = self.m_max
@@ -197,22 +217,22 @@ def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float
     absc = np.abs(c)
     k = u.lattice.k[ik]
     brk = _bracket(k)
-    mod = _bracket(tau + k * k)
+    mod = modulation(tau, k)
     a2 = absc**2
     meas = u.dtau / u.lattice.lam
     mask_low = mod <= brk
-    wk_s = brk ** (2.0 * s)
+    wk_s = sobolev_weight(k, s)
     x_low = math.sqrt(float(np.sum((a2 * mod**2)[mask_low] * np.broadcast_to(wk_s, a2.shape)[mask_low])) * meas)
     mask_very = mod > MUCH_GREATER * brk**2
     # per-k l1 in tau: sum out the grid's tau axis (a cell list has none),
     # then add up by k index
     very = np.sum(absc * mask_very, axis=tuple(range(absc.ndim - 1)))
     l1 = np.bincount(ik, weights=very, minlength=u.lattice.modes) * u.dtau
-    wk_all = _bracket(u.lattice.k) ** (2.0 * s)
+    wk_all = sobolev_weight(u.lattice.k, s)
     y_very = math.sqrt(float(np.sum(wk_all * l1**2)) / u.lattice.lam)
     if s > -0.5:
         x_high = math.sqrt(
-            float(np.sum((a2 * ~mask_low) * brk ** (2.0 * (s + 1.0)))) * meas
+            float(np.sum((a2 * ~mask_low) * sobolev_weight(k, s + 1.0))) * meas
         )
         return x_low + x_high + y_very
     mask_tail = mod > brk**2
@@ -232,20 +252,12 @@ def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float
     return x_low + x_mid + shell_sum + y_very
 
 
-# Littlewood-Paley bumps reuse the solver's smooth cutoff so the whole
-# artifact shares one concrete bump function.
-def _psi(x):
-    from .solver import bump_psi
-
-    return bump_psi(x)
-
-
 def lp_bump(j: int, x: np.ndarray) -> np.ndarray:
     """p_0 = psi, p_j = psi(2^-j x) - psi(2^-(j-1) x): smooth dyadic partition."""
     x = np.asarray(x, dtype=np.float64)
     if j == 0:
-        return _psi(x)
-    return _psi(x / 2.0**j) - _psi(x / 2.0 ** (j - 1))
+        return bump_psi(x)
+    return bump_psi(x / 2.0**j) - bump_psi(x / 2.0 ** (j - 1))
 
 
 def _lp_levels(values: np.ndarray) -> int:
@@ -300,7 +312,7 @@ def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:
     elif spec.family == "Ws":
         value = ws_norm(u, spec.s, spec.m_max)
         shells = [
-            {"M": M, "value": piece.l2_norm()}
+            {"M": M, "value": xsb_norm(piece, 0.0, 0.0)}
             for M, piece in dyadic_shells(project(u, mod_gt_k2()), spec.m_max)
         ]
     else:  # Besov, the last family NormSpec admits

@@ -11,11 +11,10 @@ import numpy as np
 from .lattice import (
     FrequencyLattice,
     LatticeError,
-    SpacetimeSpectrum,
     SpectralField,
     make_lattice,
 )
-from .norms import h_norm
+from .norms import h_norm, sobolev_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,11 +27,6 @@ class GBState:
     def __post_init__(self):
         if not self.v0.lattice.same_grid(self.v1.lattice):
             raise LatticeError("v0 and v1 must live on the same lattice")
-
-    def conjugate_symmetry_defect(self) -> float:
-        d0 = np.abs(self.v0.coeff - np.conj(self.v0.coeff[::-1])).max()
-        d1 = np.abs(self.v1.coeff - np.conj(self.v1.coeff[::-1])).max()
-        return float(max(d0, d1))
 
 
 def gb_to_qnls(state: GBState) -> SpectralField:
@@ -60,18 +54,6 @@ def omega_multiplier(lattice: FrequencyLattice, lam: float | None = None) -> np.
         return j2 / (1.0 + j2)
     x2 = (lam * lattice.k) ** 2
     return x2 / (1.0 + x2)
-
-
-def omega_sq(u, lam: float):
-    """Apply the smoothing square multiplier; lam must match the lattice."""
-    if u.lattice.lam != lam:
-        raise LatticeError(f"lam={lam} does not match lattice lam={u.lattice.lam}")
-    m = omega_multiplier(u.lattice)
-    if isinstance(u, SpectralField):
-        return SpectralField(u.lattice, u.coeff * m)
-    if isinstance(u, SpacetimeSpectrum):
-        return u.with_coeff(u.coeff * m[None, :])
-    raise LatticeError(f"unsupported type {type(u).__name__}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +101,5 @@ def rescale_data(u0: SpectralField, lam: float, s: float) -> tuple[SpectralField
 
 def rescaled_norm_sq_identity(u0: SpectralField, lam: float, s: float) -> float:
     """Closed form lam^-3 sum_n <n/lam>^(2s) |u0_hat(n)|^2 for cross-checking."""
-    n = u0.lattice.j.astype(np.float64)
-    w = (1.0 + (n / lam) ** 2) ** s
+    w = sobolev_weight(u0.lattice.j / lam, s)
     return float(np.sum(w * np.abs(u0.coeff) ** 2) / lam**3)

@@ -374,9 +374,8 @@ class SweepResult:
     n_samples: int
 
 
-def sup_sweep(case: CountingCase, sampler: SweepSampler | None = None) -> SweepResult:
+def sup_sweep(case: CountingCase, sampler: SweepSampler) -> SweepResult:
     """Certified-sample sup of cell_measure and its ratio to the lemma bound."""
-    sampler = sampler or SweepSampler()
     tag = f"{case.lemma}|{case.side}|{case.M1}|{case.M2}|{case.lam}".encode()
     rng = np.random.default_rng(sampler.seed + zlib.crc32(tag))
     best, w_tau, w_k, n = -1.0, 0.0, 0.0, 0

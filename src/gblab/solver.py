@@ -1,5 +1,5 @@
 """Pseudospectral machinery for the rescaled quadratic Schrodinger problem:
-free propagator, dealiased nonlinearity, Duhamel quadrature in the interaction
+free propagator, dealiased right-hand side, Duhamel quadrature in the interaction
 picture, Picard fixed-point iteration, a fifth-order Dormand-Prince reference
 integrator, and the dual-path second-iterate operator used by the inflation
 experiments.
@@ -13,15 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    SQRT_TWO_PI,
+    TWO_PI,
     FrequencyLattice,
     LatticeError,
     SpectralField,
     Trajectory,
     pad_size,
 )
+from .norms import sobolev_weight
 from .reduction import omega_multiplier
 
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # time rows per window of the Picard map and per chunk of _a2_quadrature, whose
 # scratch then spans a few windows: a Picard solve of 4097 x 513 peaks at 3.05
 # full-size arrays (three held), the quadrature at K = 256 traces 20 MB
@@ -58,20 +60,6 @@ class PicardDivergenceError(RuntimeError):
 
 class InternalConsistencyError(RuntimeError):
     """Two independent evaluation paths disagreed beyond tolerance."""
-
-
-def bump_psi(t):
-    """Smooth cutoff: 1 on [-1,1], exp(1 - 1/(1-(|t|-1)^2)) on 1<|t|<2, 0 outside."""
-    t = np.asarray(t, dtype=np.float64)
-    a = np.abs(t)
-    out = np.zeros_like(a)
-    out[a <= 1.0] = 1.0
-    edge = (a > 1.0) & (a < 2.0)
-    x = a[edge] - 1.0
-    out[edge] = np.exp(1.0 - 1.0 / (1.0 - x * x))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,7 +133,8 @@ def nonlinearity_rows(
     include_linear: bool = True,
     include_quadratic: bool = True,
 ) -> np.ndarray:
-    """Vectorized right-hand side over stacked spectra (rows x modes).
+    """F(u) = (1/2) lam^-2 (u - conj u) - (1/4) omega^2 (u + conj u)^2 over
+    stacked spectra (rows x modes).
 
     u + conj u is real, so its square takes real transforms of the j >= 0
     half of its spectrum, and the square's modes -J..-1 are the conjugates
@@ -172,22 +161,6 @@ def nonlinearity_rows(
         out[:, J:] += sq
         out[:, :J] += np.conj(sq[:, J:0:-1])
     return out
-
-
-def nonlinearity(
-    u: SpectralField,
-    lam: float,
-    include_linear: bool = True,
-    include_quadratic: bool = True,
-) -> SpectralField:
-    """F(u) = (1/2) lam^-2 (u - conj u) - (1/4) omega^2 (u + conj u)^2."""
-    if u.lattice.lam != lam:
-        raise LatticeError("lam does not match the field's lattice")
-    rows = nonlinearity_rows(
-        u.coeff[None, :], u.lattice, lam,
-        include_linear=include_linear, include_quadratic=include_quadratic,
-    )
-    return SpectralField(u.lattice, rows[0])
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -313,8 +286,9 @@ def _picard_map(
 
 
 def _sup_hs(rows: np.ndarray, lattice: FrequencyLattice, cfg: SolverConfig) -> float:
-    """Largest H^s norm over the rows of a trajectory."""
-    w = (1.0 + lattice.k ** 2) ** cfg.s
+    """Largest H^s norm over the rows of a trajectory: h_norm of each row,
+    summed without a |u|^2 temporary."""
+    w = sobolev_weight(lattice.k, cfg.s)
     sq = np.einsum("ij,ij,j->i", rows.real, rows.real, w)
     sq += np.einsum("ij,ij,j->i", rows.imag, rows.imag, w)
     return float(np.sqrt(sq / cfg.lam).max())
@@ -453,7 +427,7 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
 def phase_integral(theta: np.ndarray, t0: float) -> np.ndarray:
     """integral_0^{t0} e^{i theta t} dt = t0 e^{i theta t0/2} sinc(theta t0 / 2pi)."""
     x = np.asarray(theta, dtype=np.float64) * t0
-    return t0 * np.exp(0.5j * x) * np.sinc(x / (2.0 * math.pi))
+    return t0 * np.exp(0.5j * x) * np.sinc(x / TWO_PI)
 
 
 def _a2_closed_form(phi: SpectralField, t0: float, lam: float) -> np.ndarray:

@@ -53,11 +53,16 @@ class TestBasics:
             ("[solve]\nt = -0.25\n", ["solve"], "T must be positive"),
             ("[solve]\nt = inf\n", ["solve"], "T must be finite"),
             ("[solve]\ndt = inf\n", ["solve"], "dt must be finite"),
+            # keys of other commands are converted too, so verify rejects them
+            ("[solve]\ndata = bogus\n", ["verify", "--suite", "l4"], "[solve] data"),
+            ("[inflate]\nvariant = bogus\n", ["verify", "--suite", "l4"], "[inflate] variant"),
+            ("[norms]\nfamily = bogus\n", ["verify", "--suite", "l4"], "[norms] family"),
         ],
         ids=["unknown-key", "unknown-section", "float", "int", "bool", "check-bound",
              "one-lambda", "one-counting-lambda", "repeated-lambda", "no-embedding-pair",
              "no-dyadic-size", "no-fields", "unparsable", "zero-interval",
-             "negative-interval", "infinite-interval", "infinite-step"],
+             "negative-interval", "infinite-interval", "infinite-step", "data-kind",
+             "variant", "family"],
     )
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, ini, command, named):
         cfg = tmp_path / "cfg.ini"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gblab.illposedness import LOW_BAND, _low_band
 from gblab.lattice import (
     SpacetimeSpectrum,
+    SpectralField,
     field_from_modes,
     make_lattice,
     make_tau_grid,
@@ -28,12 +30,14 @@ from gblab.norms import (
     mod_shell,
     norm_report,
     project,
+    sobolev_weight,
     ws_norm,
     xsb_norm,
     ys_norm,
 )
+from gblab.solver import SolverConfig, _sup_hs
 
-from conftest import random_spectrum
+from conftest import random_field, random_spectrum
 
 
 def spectrum_cell(lattice, tau, freq, tau_value, weight=1.0):
@@ -66,6 +70,35 @@ class TestHNorm:
         assert exact == pytest.approx(math.sqrt(2 / lam) * N**s, rel=2e-2)
 
 
+class TestOneSobolevWeight:
+    # the solver's sup-in-time norm and the inflation sweep's low-band norm
+    # are h_norm, whose weight is the formula (1 + k^2)^s
+    S_VALUES = (-0.75, -0.5, 0.5)
+
+    def test_weight_is_the_formula(self):
+        k = make_lattice(4.0, 8.0).k
+        for s in self.S_VALUES:
+            np.testing.assert_allclose(sobolev_weight(k, s), (1.0 + k * k) ** s, rtol=1e-15)
+
+    def test_sup_hs_is_the_largest_h_norm(self, rng):
+        lat = make_lattice(2.0, 6.0)
+        rows = np.array([random_field(lat, rng).coeff for _ in range(9)])
+        for s in self.S_VALUES:
+            expected = max(h_norm(SpectralField(lat, row), s) for row in rows)
+            got = _sup_hs(rows, lat, SolverConfig(lam=lat.lam, s=s))
+            assert got == pytest.approx(expected, rel=1e-15)
+
+    def test_low_band_norm_is_h_norm_of_the_low_band(self, rng):
+        lat = make_lattice(4.0, 6.0)
+        f = random_field(lat, rng)
+        low = np.abs(lat.k) <= LOW_BAND
+        assert np.array_equal(_low_band(f).coeff, np.where(low, f.coeff, 0.0))
+        for s in self.S_VALUES:
+            w = (1.0 + lat.k[low] ** 2) ** s
+            expected = math.sqrt(np.sum(w * np.abs(f.coeff[low]) ** 2) / lat.lam)
+            assert h_norm(_low_band(f), s) == pytest.approx(expected, rel=1e-15)
+
+
 class TestXsbNorm:
     def test_single_cell(self):
         lat = make_lattice(2.0, 2.0)
@@ -91,7 +124,8 @@ class TestXsbNorm:
     def test_free_evolution_factorizes(self):
         # windowed free evolution: xsb norm = ||window||_{H^b} ||phi||_{H^s}
         from gblab.lattice import time_transform
-        from gblab.solver import bump_psi, free_trajectory
+        from gblab.norms import bump_psi
+        from gblab.solver import free_trajectory
 
         lat = make_lattice(1.0, 2.0)
         phi = field_from_modes(lat, {-2.0: 0.7, 0.0: 1.0, 1.0: -0.5j})
@@ -172,8 +206,8 @@ class TestProjections:
         shells = dyadic_shells(u)
         total = sum(piece.coeff for _, piece in shells)
         assert np.abs(total - u.coeff).max() < 1e-12
-        energy = sum(piece.l2_norm() ** 2 for _, piece in shells)
-        assert energy == pytest.approx(u.l2_norm() ** 2, rel=1e-12)
+        energy = sum(xsb_norm(piece, 0.0, 0.0) ** 2 for _, piece in shells)
+        assert energy == pytest.approx(xsb_norm(u, 0.0, 0.0) ** 2, rel=1e-12)
 
     def test_shell_membership(self):
         lat = make_lattice(1.0, 1.0)
@@ -181,22 +215,23 @@ class TestProjections:
         u, tau0 = spectrum_cell(lat, tau, 0.0, 4.9)  # <4.9> ~ 5 -> shell M=4
         assert abs(math.sqrt(1 + tau0**2) - 5.0) < 0.2
         for M, piece in dyadic_shells(u):
-            mass = piece.l2_norm()
+            mass = xsb_norm(piece, 0.0, 0.0)
             if M == 4.0:
                 assert mass > 0
             else:
                 assert mass == 0.0
 
     def test_projections_commute_with_k_multipliers(self, rng):
-        from gblab.reduction import omega_sq
+        from gblab.reduction import omega_multiplier
 
         lat = make_lattice(2.0, 3.0)
         tau = make_tau_grid(20.0, 0.5)
         u = random_spectrum(lat, tau, rng)
+        m = omega_multiplier(lat)
         p = mod_gt_k()
-        a = omega_sq(project(u, p), 2.0)
-        b = project(omega_sq(u, 2.0), p)
-        assert np.abs(a.coeff - b.coeff).max() < 1e-15
+        a = project(u, p).coeff * m
+        b = project(u.with_coeff(u.coeff * m), p)
+        assert np.abs(a - b.coeff).max() < 1e-15
 
 
 class TestWsNorm:

@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 
 from gblab.lattice import (
     LatticeError,
-    SpacetimeSpectrum,
+    SpectralField,
     field_from_modes,
     make_lattice,
-    make_tau_grid,
     zero_field,
 )
 from gblab.norms import h_norm
 from gblab.reduction import (
     GBState,
     gb_to_qnls,
-    omega_sq,
+    omega_multiplier,
     qnls_to_gb,
     rescale_data,
     rescaled_norm_sq_identity,
@@ -65,7 +64,8 @@ class TestChangeOfVariables:
 
     def test_conjugate_symmetry_of_real_states(self, small_lattice, rng):
         state = random_real_state(small_lattice, rng)
-        assert state.conjugate_symmetry_defect() < 1e-12
+        for f in (state.v0, state.v1):
+            assert np.abs(f.coeff - np.conj(f.coeff[::-1])).max() < 1e-12
 
     def test_lattice_mismatch_rejected(self, rng):
         a = make_lattice(1.0, 2.0)
@@ -75,44 +75,30 @@ class TestChangeOfVariables:
 
 
 class TestOmegaSq:
+    # the smoothing multiplier omega^2 = -dxx / (1 - dxx) on the lattice's own lam
     def test_multiplier_values(self):
         lat = make_lattice(1.0, 10.0)
-        f = omega_sq(field_from_modes(lat, {0.0: 1.0, 1.0: 1.0, 10.0: 1.0}), 1.0)
-        assert f.coeff[lat.index_of(0.0)] == 0.0
-        assert f.coeff[lat.index_of(1.0)] == pytest.approx(0.5)
-        assert f.coeff[lat.index_of(10.0)] == pytest.approx(100.0 / 101.0)
+        m = omega_multiplier(lat)
+        assert m[lat.index_of(0.0)] == 0.0
+        assert m[lat.index_of(1.0)] == pytest.approx(0.5)
+        assert m[lat.index_of(10.0)] == pytest.approx(100.0 / 101.0)
 
     def test_first_mode_halved_any_lambda(self):
         lat = make_lattice(8.0, 1.0)
-        f = omega_sq(field_from_modes(lat, {1.0 / 8.0: 2.0}), 8.0)
-        assert f.coeff[lat.index_of(1.0 / 8.0)] == pytest.approx(1.0)
+        assert omega_multiplier(lat)[lat.index_of(1.0 / 8.0)] == pytest.approx(0.5)
 
     def test_operator_norm_at_most_one(self, rng):
         lat = make_lattice(2.0, 6.0)
+        m = omega_multiplier(lat)
         for s in (-0.5, 0.0, 1.0):
             f = random_field(lat, rng)
-            assert h_norm(omega_sq(f, 2.0), s) <= h_norm(f, s) * (1 + 1e-12)
+            assert h_norm(SpectralField(lat, f.coeff * m), s) <= h_norm(f, s) * (1 + 1e-12)
 
-    def test_annihilates_exactly_zero_mode(self, rng):
+    def test_annihilates_exactly_zero_mode(self):
         lat = make_lattice(2.0, 6.0)
-        f = omega_sq(random_field(lat, rng), 2.0)
-        assert f.coeff[lat.index_of(0.0)] == 0.0
-        nz = np.delete(np.abs(f.coeff), lat.index_of(0.0))
-        assert nz.min() > 0.0
-
-    def test_spacetime_variant(self, rng):
-        lat = make_lattice(2.0, 2.0)
-        tau = make_tau_grid(4.0, 1.0)
-        u = SpacetimeSpectrum(
-            lat, tau, rng.standard_normal((tau.size, lat.modes)) + 0j
-        )
-        v = omega_sq(u, 2.0)
-        assert np.abs(v.coeff[:, lat.index_of(0.0)]).max() == 0.0
-
-    def test_lambda_mismatch(self, rng):
-        lat = make_lattice(2.0, 2.0)
-        with pytest.raises(LatticeError):
-            omega_sq(random_field(lat, rng), 4.0)
+        m = omega_multiplier(lat)
+        assert m[lat.index_of(0.0)] == 0.0
+        assert np.delete(m, lat.index_of(0.0)).min() > 0.0
 
 
 class TestRescaleData:
