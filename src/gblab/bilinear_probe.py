@@ -31,7 +31,8 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain 2-d convolution, truncated back to the common centered grid."""
     n_tau, modes = a.shape
     # the linear product sits on slots [0, 4h] per axis and the kept block on
-    # [h, 3h]; on pad_size(h) >= 3h + 1 slots no alias reaches the kept block
+    # [h, 3h]; on pad_size(h) >= 3h + 1 slots, odd or even, no alias reaches
+    # the kept block
     h_t, h_k = (n_tau - 1) // 2, (modes - 1) // 2
     shape = (pad_size(h_t), pad_size(h_k))
     spec = np.fft.fft2(a, shape) * np.fft.fft2(b, shape)

@@ -105,6 +105,14 @@ def _optional_float(text: str) -> float | None:
     return float(text) if text.strip() else None
 
 
+def _optional_positive(text: str) -> float | None:
+    """Converter for an empty text or a positive finite float."""
+    value = _optional_float(text)
+    if value is not None and not 0.0 < value < math.inf:
+        raise ValueError("must be positive and finite")
+    return value
+
+
 def _bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -174,7 +182,7 @@ CONFIG = {
         "s": ("-0.5", float),
         "b": ("", _optional_float),
         "m_max": ("", _optional_float),
-        "tau_max": ("", _optional_float),
+        "tau_max": ("", _optional_positive),
     },
 }
 

@@ -71,8 +71,13 @@ def brute_force_image(u, v, kind):
 
 # (id suffix, K, tau_max) at lam = 1 and dtau = 1, all through the padded FFT
 # product: 11x11 pads each axis to exactly 3h + 1 = 16 (a pad of 3h aliases),
-# 9x13 to 16 and 32
-_ORACLE_GRIDS = [("", 3.0, 3.5), ("-11x11-tight", 5.0, 5.0), ("-9x13", 6.0, 4.0)]
+# 17x17 to exactly 3h + 1 = 25, an odd pad, and 9x13 to 15 and 20
+_ORACLE_GRIDS = [
+    ("", 3.0, 3.5),
+    ("-11x11-tight", 5.0, 5.0),
+    ("-17x17-odd", 8.0, 8.0),
+    ("-9x13", 6.0, 4.0),
+]
 
 
 class TestBilinearImage:

@@ -331,6 +331,23 @@ class TestNorms:
         rc = run(["norms", str(spec), "--config", str(cfg), "--out-dir", str(tmp_path / "o2")])
         assert rc == 0
 
+    @pytest.mark.parametrize("tau_max", ["0", "-5", "inf", "nan"])
+    def test_tau_max_must_be_positive_and_finite(self, tmp_path, capsys, recwarn, tau_max):
+        from gblab.lattice import SpacetimeSpectrum, make_tau_grid
+
+        lat = make_lattice(1.0, 2.0)
+        tau = make_tau_grid(4.0, 1.0)
+        spec = tmp_path / "u.spec"
+        dump_spectrum(SpacetimeSpectrum(lat, tau, np.ones((tau.size, lat.modes), dtype=complex)), spec)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[norms]\nfamily = Xsb\ntau_max = {tau_max}\n")
+        out = tmp_path / "o"
+        assert run(["norms", str(spec), "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tau_max" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "body, message",
         [(None, "cannot read"), (b"abc", "header"), (-16, "expected")],

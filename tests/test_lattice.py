@@ -18,6 +18,7 @@ from gblab.lattice import (
     load_spectrum,
     make_lattice,
     make_tau_grid,
+    pad_size,
     time_transform,
     x_grid,
     zero_field,
@@ -117,6 +118,24 @@ class TestForwardTransform:
         assert np.abs(back - rows).max() < 1e-12 * np.abs(rows).max()
         with pytest.raises(LatticeError):
             inverse_rows(rows, lat, lat.modes - 1)
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_pad_size_is_the_next_5_smooth_count():
+    # brute force over every 2^a 3^b 5^c below twice the largest 3J + 1,
+    # which holds a power of two above each 3J + 1
+    top = 3 * 4096 + 1
+    smooth = [n for n in range(1, 2 * top) if _is_5_smooth(n)]
+    for J in range(4097):
+        need = 3 * J + 1
+        assert pad_size(J) == next(n for n in smooth if n >= need), J
+    assert [pad_size(J) for J in (64, 120, 128, 256, 1024)] == [200, 375, 400, 800, 3125]
 
 
 def test_lattice_refinement_consistency():

@@ -139,21 +139,23 @@ class TestNonlinearity:
         assert out[lat.index_of(0.0)] == pytest.approx(expected, abs=1e-14)
         assert np.abs(np.delete(out, lat.index_of(0.0))).max() < 1e-14
 
-    # J = 6, then J = 5 and J = 21, where 3J + 1 is a power of two and the
-    # padded grid has no point to spare; 300 rows in one call, more than a
-    # Picard window; lam below the lattice's own is the line emulation's
-    # refined grid
+    # J = 6, then J = 5, 8, 13 and 21, where the pad is 3J + 1 itself and
+    # the padded grid has no point to spare: 16, an odd 25, 40 and 64 points;
+    # 300 rows in one call, more than a Picard window; lam below the
+    # lattice's own is the line emulation's refined grid
     @pytest.mark.parametrize(
         "lattice_lam, K, lam, n_rows, include_linear, include_quadratic",
         [
             (2.0, 3.0, 2.0, 1, False, True),
             (1.0, 5.0, 1.0, 1, False, True),
+            (1.0, 8.0, 1.0, 1, False, True),
+            (1.0, 13.0, 1.0, 1, False, True),
             (1.0, 21.0, 1.0, 1, False, True),
             (1.0, 3.0, 1.0, 300, True, True),
             (8.0, 1.0, 2.0, 3, True, True),
             (2.0, 3.0, 2.0, 3, True, False),
         ],
-        ids=["J6", "J5", "J21", "rows300", "line", "linear-only"],
+        ids=["J6", "J5", "J8", "J13", "J21", "rows300", "line", "linear-only"],
     )
     def test_against_brute_force_convolution(
         self, rng, lattice_lam, K, lam, n_rows, include_linear, include_quadratic
@@ -544,7 +546,7 @@ class TestA2Iterate:
 
     def test_quadrature_memory_scales_with_the_chunk(self):
         # the default inflate's largest profile, K = 256 and N = 241.75:
-        # about 2000 quadrature rows on a pad of 4096 points
+        # about 2000 quadrature rows on a pad of 3125 points
         import tracemalloc
 
         lam, t0 = 4.0, 0.5
