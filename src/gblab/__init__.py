@@ -9,25 +9,19 @@ from .lattice import (
     Trajectory,
     dump_spectrum,
     field_from_modes,
-    forward_transform,
     load_field,
     load_spacetime,
     load_spectrum,
     make_lattice,
     make_tau_grid,
-    time_transform,
-    x_grid,
     zero_field,
 )
 from .reduction import GBState, gb_to_qnls, qnls_to_gb, rescale_data
 from .norms import (
     NormSpec,
-    RegionPredicate,
     besov_norm,
     bump_psi,
-    dyadic_shells,
     h_norm,
-    project,
     ws_norm,
     xsb_norm,
     ys_norm,

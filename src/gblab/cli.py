@@ -43,7 +43,17 @@ from .lattice import (
     make_tau_grid,
     zero_field,
 )
-from .norms import FAMILIES, NormSpec, h_norm, modulation, norm_report, ws_norm, xsb_norm, ys_norm
+from .norms import (
+    FAMILIES,
+    WS_S_RANGE,
+    NormSpec,
+    h_norm,
+    modulation,
+    norm_report,
+    ws_norm,
+    xsb_norm,
+    ys_norm,
+)
 from .resonance import (
     CountingCase,
     CountingError,
@@ -113,6 +123,18 @@ def _optional_positive(text: str) -> float | None:
     return value
 
 
+def _ws_s(convert):
+    """Converter `convert` whose value, or each of its values, is an s at
+    which ws_norm is defined."""
+    lo, hi = WS_S_RANGE
+    def check(text: str):
+        value = convert(text)
+        if not all(lo <= v <= hi for v in np.atleast_1d(value)):
+            raise ValueError(f"must lie in [{lo}, {hi}], where ws_norm is defined")
+        return value
+    return check
+
+
 def _bool(text: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
@@ -153,13 +175,13 @@ CONFIG = {
     },
     "embeddings": {
         "lambdas": ("1,2,4,8,16", _floats(2)),
-        "s_values": ("-0.5,-0.25", _floats(1)),
+        "s_values": ("-0.5,-0.25", _ws_s(_floats(1))),
         "thetas": ("0.25,0.5,0.75", _floats(1)),
         "n_fields": ("500", _number(int, 1)),
     },
     "bilinear": {
         "lambdas": ("4,16,64", _floats(2)),
-        "s": ("-0.5", float),
+        "s": ("-0.5", _ws_s(float)),
         "n_trials": ("4", _number(int, 1)),
     },
     "l4": {

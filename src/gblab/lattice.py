@@ -1,5 +1,5 @@
-"""Discrete frequency lattices on the 2*pi*lam torus and the transforms between
-physical samples, spatial spectra, and space-time spectra.
+"""Discrete frequency lattices on the 2*pi*lam torus, spatial and space-time
+spectra, the inverse transform to physical samples, and binary dumps.
 
 Conventions: the lattice Z/lam carries the normalized counting measure
 (1/lam)*sum, the forward transform is (2*pi)^(-1/2) * integral of e^{-ikx},
@@ -105,32 +105,6 @@ def field_from_modes(lattice: FrequencyLattice, modes: dict) -> SpectralField:
     return SpectralField(lattice, c)
 
 
-def x_grid(lattice: FrequencyLattice, n: int) -> np.ndarray:
-    """Uniform sample grid on [0, 2*pi*lam)."""
-    return np.arange(n) * (lattice.circumference / n)
-
-
-def forward_transform(samples: np.ndarray, lattice: FrequencyLattice) -> SpectralField:
-    """Fourier coefficients (2*pi)^(-1/2) * integral e^{-ikx} phi(x) dx of sampled phi.
-
-    Exact for inputs band-limited to the lattice; sample count must be at least
-    the mode count so the discrete transform is alias-free.  Stacked samples
-    (..., n) give stacked coefficient rows (..., modes) instead of a field.
-    """
-    samples = np.asarray(samples)
-    n = samples.shape[-1]
-    if n < lattice.modes:
-        raise LatticeError(f"need >= {lattice.modes} samples, got {n}")
-    X = np.fft.fft(samples, axis=-1)
-    J = lattice.half_modes
-    neg = X[..., n - J:]
-    pos = X[..., : J + 1]
-    coeff = np.concatenate([neg, pos], axis=-1) * (SQRT_TWO_PI * lattice.lam / n)
-    if samples.ndim == 1:
-        return SpectralField(lattice, coeff)
-    return coeff
-
-
 def pad_size(J: int) -> int:
     """Smallest 2^a 3^b 5^c >= 3J + 1.
 
@@ -155,7 +129,7 @@ def pad_size(J: int) -> int:
 
 def inverse_rows(rows: np.ndarray, lattice: FrequencyLattice, n: int) -> np.ndarray:
     """Physical samples of stacked spectra (..., modes) on the uniform n-point
-    grid of [0, 2*pi*lam); the inverse of forward_transform for n >= modes."""
+    grid of [0, 2*pi*lam); the inverse of the forward transform for n >= modes."""
     if n < lattice.modes:
         raise LatticeError(f"need >= {lattice.modes} samples, got {n}")
     J = lattice.half_modes
@@ -262,22 +236,6 @@ class Trajectory:
         return i
 
 
-def time_transform(traj: Trajectory, window, tau_grid: np.ndarray) -> SpacetimeSpectrum:
-    """Windowed time transform u~(tau,k) = (2*pi)^(-1/2) * dt * sum_m e^{-i tau t_m} w(t_m) u(t_m,k).
-
-    The window must be supported inside the trajectory's time grid, otherwise the
-    discrete integral silently truncates mass.
-    """
-    w = np.asarray([window(t) for t in traj.t], dtype=np.float64)
-    if abs(w[0]) > 1e-12 or abs(w[-1]) > 1e-12:
-        raise LatticeError("window support exceeds the time grid")
-    tau_grid = np.asarray(tau_grid, dtype=np.float64)
-    weighted = traj.coeff * w[:, None]
-    kernel = np.exp(-1j * np.outer(tau_grid, traj.t))
-    coeff = kernel @ weighted * (traj.dt / SQRT_TWO_PI)
-    return SpacetimeSpectrum(traj.lattice, tau_grid, coeff)
-
-
 # Binary spectrum dump: little-endian header (lam f64, K f64, mode count u64,
 # tau/time row count u64 or 0), then interleaved (re, im) f64 row-major (tau, k).
 _HEADER = struct.Struct("<ddQQ")
@@ -340,6 +298,8 @@ def load_spacetime(path, tau_max: float) -> SpacetimeSpectrum:
         raise LatticeError("dump holds a single field, not a space-time object")
     if rows % 2 == 0:
         raise LatticeError("expected an odd symmetric tau grid")
+    if rows < 3:
+        raise LatticeError(f"{rows} tau rows in the dump; a symmetric tau grid needs at least 3")
     half = (rows - 1) // 2
     tau = np.arange(-half, half + 1) * (tau_max / half)
     return SpacetimeSpectrum(lattice, tau, coeff)

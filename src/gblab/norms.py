@@ -1,18 +1,19 @@
-"""Sobolev, dispersive, and Besov-type norms on lattice spectra, plus the
-modulation/frequency projections and dyadic shell decompositions they use.
+"""Sobolev, dispersive, and Besov-type norms on lattice spectra.
 The weights <k>^(2s) and <tau+k^2> and the Littlewood-Paley bump are defined
 here once, for every module that weighs a spectrum.
 
-Region conventions (fixed so the pieces form a genuine partition): the "at
-most comparable" comparisons in region predicates are implemented as <= with
-constant 1, and "much greater" as > 4x.  Any fixed constants give equivalent
-norms; determinism across runs is what matters here.
+Region conventions of the glued norm (fixed so the pieces form a genuine
+partition): "at most comparable" is <= with constant 1, "much greater" is
+> 4x, and the dyadic modulation shells [M, 2M) of the tail
+<tau+k^2> > <k>^2 are binned by M = 2^floor(log2 <tau+k^2>), so the M = 1
+shell takes everything below 2.  Any fixed constants give equivalent norms;
+determinism across runs is what matters here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .lattice import LatticeError, SpacetimeSpectrum, SpectralField
 
 MUCH_GREATER = 4.0
 FAMILIES = ("Hs", "Xsb", "Ys", "Ws", "Besov")  # the norms NormSpec names
+WS_S_RANGE = (-0.5, -0.25)  # the s for which ws_norm glues its pieces
 
 
 def _bracket(x: np.ndarray) -> np.ndarray:
@@ -73,109 +75,28 @@ def ys_norm(u: SpacetimeSpectrum, s: float) -> float:
     return float(np.sqrt(np.sum(w * l1**2) / u.lattice.lam))
 
 
-@dataclass(frozen=True)
-class RegionPredicate:
-    """Comparison region in (tau, k): a*<tau+k^2> vs thresholds built from
-    <k>, <k>^2, dyadic shells, and |k| bands.  Conjunctions compose with &."""
-
-    description: str
-    _terms: tuple = field(default_factory=tuple)
-
-    def mask(self, u: SpacetimeSpectrum) -> np.ndarray:
-        k = u.lattice.k
-        mod = modulation(u.tau[:, None], k)
-        out = np.ones(mod.shape, dtype=bool)
-        for kind, lo, hi in self._terms:
-            if kind == "mod_shell":
-                if lo is not None:
-                    out &= mod >= lo
-                out &= mod < hi
-                continue
-            if kind == "mod_vs_k":
-                ref = np.broadcast_to(_bracket(k)[None, :], mod.shape)
-            elif kind == "mod_vs_k2":
-                ref = np.broadcast_to((_bracket(k) ** 2)[None, :], mod.shape)
-            elif kind == "absk":
-                ref = None
-            else:
-                raise ValueError(kind)
-            if kind == "absk":
-                v = np.broadcast_to(np.abs(k)[None, :], mod.shape)
-                out &= (v >= lo) & (v < hi)
-            else:
-                r = mod / ref
-                if lo is not None:
-                    out &= r > lo
-                if hi is not None:
-                    out &= r <= hi
-        return out
-
-    def __and__(self, other: "RegionPredicate") -> "RegionPredicate":
-        return RegionPredicate(
-            description=f"({self.description}) and ({other.description})",
-            _terms=self._terms + other._terms,
-        )
-
-
-def mod_le_k() -> RegionPredicate:
-    return RegionPredicate("<tau+k^2> <= <k>", (("mod_vs_k", None, 1.0),))
-
-
-def mod_gt_k() -> RegionPredicate:
-    return RegionPredicate("<tau+k^2> > <k>", (("mod_vs_k", 1.0, None),))
-
-
-def mod_le_k2() -> RegionPredicate:
-    return RegionPredicate("<tau+k^2> <= <k>^2", (("mod_vs_k2", None, 1.0),))
-
-
-def mod_gt_k2() -> RegionPredicate:
-    return RegionPredicate("<tau+k^2> > <k>^2", (("mod_vs_k2", 1.0, None),))
-
-
-def mod_much_gt_k2() -> RegionPredicate:
-    return RegionPredicate(
-        f"<tau+k^2> > {MUCH_GREATER:g}<k>^2", (("mod_vs_k2", MUCH_GREATER, None),)
-    )
-
-
-def mod_shell(M: float) -> RegionPredicate:
-    """Dyadic shell <tau+k^2> in [M, 2M); M=1 takes everything below 2."""
-    lo = None if M <= 1 else float(M)
-    return RegionPredicate(
-        f"<tau+k^2> ~ {M:g}", (("mod_shell", lo, 2.0 * M),)
-    )
-
-
-def k_band(lo: float, hi: float) -> RegionPredicate:
-    return RegionPredicate(f"|k| in [{lo:g},{hi:g})", (("absk", lo, hi),))
-
-
-def everything() -> RegionPredicate:
-    return RegionPredicate("all", ())
-
-
-def project(u: SpacetimeSpectrum, predicate: RegionPredicate) -> SpacetimeSpectrum:
-    """Zero all cells outside the region; idempotent by construction."""
-    return u.with_coeff(np.where(predicate.mask(u), u.coeff, 0.0))
-
-
-def dyadic_shells(u: SpacetimeSpectrum, m_max: float | None = None):
-    """[(M, projection onto <tau+k^2> ~ M)] for M = 1, 2, 4, ... up to m_max."""
-    if m_max is None:
-        m_max = grid_mod_cap(u)
-    shells = []
-    M = 1.0
-    while M <= m_max:
-        shells.append((M, project(u, mod_shell(M))))
-        M *= 2.0
-    return shells
-
-
 def grid_mod_cap(u: SpacetimeSpectrum) -> float:
     """Smallest dyadic M whose shell family covers every grid cell."""
     top = float(modulation(np.abs(u.tau).max(), u.lattice.k.max()))
     return 2.0 ** math.ceil(math.log2(max(top, 1.0)))
+
+
+def _tail_shells(u: SpacetimeSpectrum, mod, brk, a2, k_power: float, m_max: float | None):
+    """The tail <tau+k^2> > <k>^2 and the sums of a2 <k>^k_power over its
+    dyadic shells M <= <tau+k^2> < 2M for M = 1, 2, 4, ... up to m_max
+    (default `grid_mod_cap(u)`); mod, brk and a2 broadcast as in ws_norm.
+
+    Returns (tail mask, sums, count): sums runs up to the last populated
+    shell, count is the number of shells up to m_max."""
+    if m_max is None:
+        m_max = grid_mod_cap(u)
+    tail = mod > brk**2
+    count = max(math.floor(math.log2(m_max)) + 1, 0)
+    midx = np.floor(np.log2(mod[tail])).astype(np.int64)
+    keep = midx < count
+    # gathered per tail cell, so no full-grid weight array is built
+    weight = a2[tail] * np.broadcast_to(brk, tail.shape)[tail] ** k_power
+    return tail, np.bincount(midx[keep], weights=weight[keep]), count
 
 
 @dataclass(frozen=True)
@@ -202,10 +123,9 @@ def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float
     modulation, and at s = -1/2 an l1 sum over dyadic modulation shells.
 
     One pass over the spectrum's cells: its cell list when it has one, the
-    whole grid otherwise.  Equivalent to projecting with the region
-    predicates and summing the corresponding component norms.
+    whole grid otherwise.
     """
-    if not (-0.5 <= s <= -0.25):
+    if not (WS_S_RANGE[0] <= s <= WS_S_RANGE[1]):
         raise LatticeError("ws_norm requires -1/2 <= s <= -1/4")
     if u._cells is None:
         tau, ik, c = u.tau[:, None], np.arange(u.lattice.modes), u.coeff
@@ -235,20 +155,11 @@ def ws_norm(u: SpacetimeSpectrum, s: float, m_max: float | None = None) -> float
             float(np.sum((a2 * ~mask_low) * sobolev_weight(k, s + 1.0))) * meas
         )
         return x_low + x_high + y_very
-    mask_tail = mod > brk**2
+    mask_tail, sums, _ = _tail_shells(u, mod, brk, a2, 1.0, m_max)
     mask_mid = ~mask_low & ~mask_tail
     x_mid = math.sqrt(float(np.sum((a2 * mask_mid) * brk)) * meas)
-    # dyadic shells [M, 2M) on the tail, l1 in M up to the cap
-    if m_max is None:
-        m_max = grid_mod_cap(u)
-    tail_w = (a2 * brk)[mask_tail]
-    if tail_w.size:
-        midx = np.floor(np.log2(mod[mask_tail])).astype(np.int64)
-        keep = midx <= math.floor(math.log2(m_max))
-        sums = np.bincount(midx[keep], weights=tail_w[keep])
-        shell_sum = float(np.sum(np.sqrt(sums * meas)))
-    else:
-        shell_sum = 0.0
+    # l1 in M over the tail's dyadic shells
+    shell_sum = float(np.sum(np.sqrt(sums * meas)))
     return x_low + x_mid + shell_sum + y_very
 
 
@@ -289,17 +200,6 @@ def besov_norm(u: SpacetimeSpectrum, s: float, b: float) -> float:
     return float(total)
 
 
-def besov_1d(values: np.ndarray, grid: np.ndarray, sigma: float, measure: float) -> float:
-    """1-d Besov B^sigma_{2,1} norm of spectral data on a uniform grid."""
-    levels = _lp_levels(grid)
-    abs2 = np.abs(values) ** 2
-    total = 0.0
-    for j in range(levels + 1):
-        w = lp_bump(j, grid) ** 2
-        total += 2.0 ** (sigma * j) * math.sqrt(float(np.sum(w * abs2) * measure))
-    return total
-
-
 def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:
     """JSON-ready record {family, s, b, lambda, value, shells}."""
     shells = []
@@ -311,9 +211,14 @@ def norm_report(u: SpacetimeSpectrum, spec: NormSpec) -> dict:
         value = ys_norm(u, spec.s)
     elif spec.family == "Ws":
         value = ws_norm(u, spec.s, spec.m_max)
+        # the L2 mass of each tail shell, 0.0 past the last populated one
+        k = u.lattice.k
+        mod = modulation(u.tau[:, None], k)
+        _, sums, count = _tail_shells(u, mod, _bracket(k), np.abs(u.coeff) ** 2, 0.0, spec.m_max)
+        sums = np.concatenate([sums, np.zeros(count - sums.size)])
         shells = [
-            {"M": M, "value": xsb_norm(piece, 0.0, 0.0)}
-            for M, piece in dyadic_shells(project(u, mod_gt_k2()), spec.m_max)
+            {"M": 2.0**i, "value": math.sqrt(v * u.dtau / u.lattice.lam)}
+            for i, v in enumerate(sums)
         ]
     else:  # Besov, the last family NormSpec admits
         value = besov_norm(u, spec.s, spec.b if spec.b is not None else 0.5)

@@ -95,12 +95,6 @@ def free_evolve(u0: SpectralField, t: float) -> SpectralField:
     return SpectralField(u0.lattice, u0.coeff * np.exp(-1j * k * k * t))
 
 
-def free_trajectory(u0: SpectralField, t: np.ndarray) -> Trajectory:
-    k2 = u0.lattice.k ** 2
-    coeff = np.exp(-1j * np.outer(np.asarray(t), k2)) * u0.coeff[None, :]
-    return Trajectory(u0.lattice, np.asarray(t, dtype=np.float64), coeff)
-
-
 _plans: dict = {}
 
 

@@ -57,12 +57,18 @@ class TestBasics:
             ("[solve]\ndata = bogus\n", ["verify", "--suite", "l4"], "[solve] data"),
             ("[inflate]\nvariant = bogus\n", ["verify", "--suite", "l4"], "[inflate] variant"),
             ("[norms]\nfamily = bogus\n", ["verify", "--suite", "l4"], "[norms] family"),
+            # ws_norm takes -1/2 <= s <= -1/4: an s outside it stops the run
+            # before the counting suite writes counting.csv
+            ("[embeddings]\ns_values = -0.5,-0.1\n", ["verify", "--suite", "counting", "--suite",
+             "embeddings"], "[embeddings] s_values"),
+            ("[bilinear]\ns = -0.1\n", ["verify", "--suite", "counting", "--suite", "bilinear"],
+             "[bilinear] s"),
         ],
         ids=["unknown-key", "unknown-section", "float", "int", "bool", "check-bound",
              "one-lambda", "one-counting-lambda", "repeated-lambda", "no-embedding-pair",
              "no-dyadic-size", "no-fields", "unparsable", "zero-interval",
              "negative-interval", "infinite-interval", "infinite-step", "data-kind",
-             "variant", "family"],
+             "variant", "family", "embeddings-s-range", "bilinear-s-range"],
     )
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, ini, command, named):
         cfg = tmp_path / "cfg.ini"
@@ -366,6 +372,62 @@ class TestNorms:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "f.spec" in err
         assert not (out / "norm.json").exists()
+
+
+    def test_one_row_spacetime_dump_exits_2(self, tmp_path, capsys):
+        # the header alone sets the row count: one tau row gives no grid step
+        from gblab.lattice import _HEADER
+
+        lat = make_lattice(1.0, 2.0)
+        spec = tmp_path / "u.spec"
+        spec.write_bytes(_HEADER.pack(lat.lam, lat.K, lat.modes, 1) + bytes(16 * lat.modes))
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[norms]\nfamily = Ws\ntau_max = 4.0\n")
+        out = tmp_path / "o"
+        assert run(["norms", str(spec), "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tau rows" in err and "Traceback" not in err
+        assert not (out / "norm.json").exists()
+
+    def test_ws_shells_memory_is_bounded_on_a_large_dump(self, tmp_path):
+        # a 4401 x 513 grid is 34 MiB of coefficients; the W shells take one
+        # binning pass over it, never a full-grid copy per shell
+        from gblab.lattice import SpacetimeSpectrum, make_tau_grid
+
+        lat = make_lattice(8.0, 32.0)
+        tau = make_tau_grid(1100.0, 0.5)
+        assert (tau.size, lat.modes) == (4401, 513)
+        rng = np.random.default_rng(3)
+        shape = (tau.size, lat.modes)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = tmp_path / "u.spec"
+        dump_spectrum(SpacetimeSpectrum(lat, tau, c), spec)
+        del c
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[norms]\nfamily = Ws\ns = -0.5\ntau_max = 1100.0\n")
+        # VmHWM is the peak of this address space alone; ru_maxrss would also
+        # count the forking test process, whose pages the child held until exec
+        script = """
+import sys
+from gblab.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+"""
+        out = tmp_path / "o"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "norms", str(spec), "--config", str(cfg),
+             "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        shells = json.loads((out / "norm.json").read_text())["shells"]
+        assert shells and shells[-1]["M"] == 4096.0  # <1100 + 32^2> is about 2124
+        peak_mb = int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+        assert peak_mb < 300.0
 
 
 class TestDeterminism:

@@ -12,20 +12,18 @@ from gblab.lattice import (
     Trajectory,
     dump_spectrum,
     field_from_modes,
-    forward_transform,
     inverse_rows,
     load_field,
     load_spectrum,
     make_lattice,
     make_tau_grid,
     pad_size,
-    time_transform,
-    x_grid,
     zero_field,
 )
 from gblab.norms import bump_psi, h_norm, xsb_norm
 
 from conftest import random_field
+from oracles import forward_transform, time_transform, x_grid
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 

@@ -14,22 +14,12 @@ from gblab.lattice import (
 )
 from gblab.norms import (
     NormSpec,
-    besov_1d,
     besov_norm,
-    dyadic_shells,
-    everything,
+    bump_psi,
     grid_mod_cap,
     h_norm,
-    k_band,
     lp_bump,
-    mod_gt_k,
-    mod_gt_k2,
-    mod_le_k,
-    mod_le_k2,
-    mod_much_gt_k2,
-    mod_shell,
     norm_report,
-    project,
     sobolev_weight,
     ws_norm,
     xsb_norm,
@@ -38,6 +28,7 @@ from gblab.norms import (
 from gblab.solver import SolverConfig, _sup_hs
 
 from conftest import random_field, random_spectrum
+from oracles import besov_1d, free_trajectory, time_transform
 
 
 def spectrum_cell(lattice, tau, freq, tau_value, weight=1.0):
@@ -45,6 +36,17 @@ def spectrum_cell(lattice, tau, freq, tau_value, weight=1.0):
     i_tau = int(np.argmin(np.abs(tau - tau_value)))
     c[i_tau, lattice.index_of(freq)] = weight
     return SpacetimeSpectrum(lattice, tau, c), tau[i_tau]
+
+
+def mod_and_bracket(u):
+    """<tau+k^2> on u's grid and <k>, restated from their definitions."""
+    k = u.lattice.k
+    return np.sqrt(1.0 + (u.tau[:, None] + k * k) ** 2), np.sqrt(1.0 + k * k)
+
+
+def restrict(u, mask):
+    """u with every cell outside `mask` zeroed."""
+    return u.with_coeff(np.where(mask, u.coeff, 0.0))
 
 
 class TestHNorm:
@@ -123,10 +125,6 @@ class TestXsbNorm:
 
     def test_free_evolution_factorizes(self):
         # windowed free evolution: xsb norm = ||window||_{H^b} ||phi||_{H^s}
-        from gblab.lattice import time_transform
-        from gblab.norms import bump_psi
-        from gblab.solver import free_trajectory
-
         lat = make_lattice(1.0, 2.0)
         phi = field_from_modes(lat, {-2.0: 0.7, 0.0: 1.0, 1.0: -0.5j})
         t = np.linspace(-2.5, 2.5, 4001)
@@ -167,78 +165,22 @@ class TestYsNorm:
         tau = make_tau_grid(40.0, 0.25)
         M = 8.0
         for _ in range(20):
-            u = project(random_spectrum(lat, tau, rng), mod_shell(M))
+            u = random_spectrum(lat, tau, rng)
+            mod, _ = mod_and_bracket(u)
+            u = restrict(u, (mod >= M) & (mod < 2 * M))
             lhs = ys_norm(u, -0.5)
             # support of <tau+k^2> ~ M in tau has length <= 2*sqrt(4M^2-1)
             c = math.sqrt(2.0 * math.sqrt(4 * M * M - 1))
             assert lhs <= c * xsb_norm(u, -0.5, 0.0) * (1 + 1e-9)
 
 
-class TestProjections:
-    def test_full_predicate_is_identity(self, rng):
-        lat = make_lattice(1.0, 3.0)
-        tau = make_tau_grid(20.0, 0.5)
-        u = random_spectrum(lat, tau, rng)
-        assert np.array_equal(project(u, everything()).coeff, u.coeff)
-
-    def test_predicate_and_complement(self, rng):
-        lat = make_lattice(1.0, 3.0)
-        tau = make_tau_grid(20.0, 0.5)
-        u = random_spectrum(lat, tau, rng)
-        low = project(u, mod_le_k())
-        high = project(u, mod_gt_k())
-        assert np.abs(project(low, mod_gt_k()).coeff).max() == 0.0
-        assert np.abs(low.coeff + high.coeff - u.coeff).max() < 1e-15
-
-    def test_idempotent(self, rng):
-        lat = make_lattice(2.0, 3.0)
-        tau = make_tau_grid(20.0, 0.5)
-        u = random_spectrum(lat, tau, rng)
-        p = mod_le_k2() & k_band(0.5, 2.0)
-        once = project(u, p)
-        twice = project(once, p)
-        assert np.array_equal(once.coeff, twice.coeff)
-
-    def test_shells_partition(self, rng):
-        lat = make_lattice(2.0, 4.0)
-        tau = make_tau_grid(40.0, 0.5)
-        u = random_spectrum(lat, tau, rng)
-        shells = dyadic_shells(u)
-        total = sum(piece.coeff for _, piece in shells)
-        assert np.abs(total - u.coeff).max() < 1e-12
-        energy = sum(xsb_norm(piece, 0.0, 0.0) ** 2 for _, piece in shells)
-        assert energy == pytest.approx(xsb_norm(u, 0.0, 0.0) ** 2, rel=1e-12)
-
-    def test_shell_membership(self):
-        lat = make_lattice(1.0, 1.0)
-        tau = make_tau_grid(10.0, 0.5)
-        u, tau0 = spectrum_cell(lat, tau, 0.0, 4.9)  # <4.9> ~ 5 -> shell M=4
-        assert abs(math.sqrt(1 + tau0**2) - 5.0) < 0.2
-        for M, piece in dyadic_shells(u):
-            mass = xsb_norm(piece, 0.0, 0.0)
-            if M == 4.0:
-                assert mass > 0
-            else:
-                assert mass == 0.0
-
-    def test_projections_commute_with_k_multipliers(self, rng):
-        from gblab.reduction import omega_multiplier
-
-        lat = make_lattice(2.0, 3.0)
-        tau = make_tau_grid(20.0, 0.5)
-        u = random_spectrum(lat, tau, rng)
-        m = omega_multiplier(lat)
-        p = mod_gt_k()
-        a = project(u, p).coeff * m
-        b = project(u.with_coeff(u.coeff * m), p)
-        assert np.abs(a - b.coeff).max() < 1e-15
-
-
 class TestWsNorm:
     def test_low_modulation_only_reduces_to_xs1(self, rng):
         lat = make_lattice(2.0, 4.0)
         tau = make_tau_grid(40.0, 0.25)
-        u = project(random_spectrum(lat, tau, rng), mod_le_k())
+        u = random_spectrum(lat, tau, rng)
+        mod, brk = mod_and_bracket(u)
+        u = restrict(u, mod <= brk)
         for s in (-0.5, -0.3, -0.25):
             assert ws_norm(u, s) == pytest.approx(xsb_norm(u, s, 1.0), rel=1e-12)
 
@@ -379,6 +321,49 @@ class TestNormReport:
         assert rep["lambda"] == 2.0
         assert rep["value"] == pytest.approx(ws_norm(u, -0.5, 1024.0))
         assert rep["shells"]
+
+    def test_shells_partition_the_tail(self, rng):
+        lat = make_lattice(2.0, 4.0)
+        tau = make_tau_grid(40.0, 0.5)
+        u = random_spectrum(lat, tau, rng)
+        mod, brk = mod_and_bracket(u)
+        tail = restrict(u, mod > brk**2)
+        shells = norm_report(u, NormSpec(family="Ws", s=-0.5))["shells"]
+        energy = sum(shell["value"] ** 2 for shell in shells)
+        assert energy == pytest.approx(xsb_norm(tail, 0.0, 0.0) ** 2, rel=1e-12)
+
+    def test_shells_match_masked_tail_norms(self, rng):
+        # each shell is the L2 norm of the tail, in its ratio form, cut to
+        # [M, 2M), the M = 1 shell taking everything below 2
+        lat = make_lattice(2.0, 4.0)
+        tau = make_tau_grid(40.0, 0.5)
+        for m_max in (None, 16.0):
+            for _ in range(3):
+                u = random_spectrum(lat, tau, rng, k_decay=0.5, mod_decay=0.5)
+                mod, brk = mod_and_bracket(u)
+                shells = norm_report(u, NormSpec(family="Ws", s=-0.5, m_max=m_max))["shells"]
+                assert shells[-1]["M"] == (m_max or grid_mod_cap(u))
+                for i, shell in enumerate(shells):
+                    M = 2.0**i
+                    cut = (mod / brk**2 > 1.0) & ((mod >= M) | (M == 1.0)) & (mod < 2 * M)
+                    want = xsb_norm(restrict(u, cut), 0.0, 0.0)
+                    assert shell["M"] == M
+                    assert shell["value"] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_shell_membership(self):
+        lat = make_lattice(1.0, 1.0)
+        tau = make_tau_grid(10.0, 0.5)
+        u, tau0 = spectrum_cell(lat, tau, 0.0, 4.9)  # <4.9> ~ 5 -> shell M=4
+        assert abs(math.sqrt(1 + tau0**2) - 5.0) < 0.2
+        for m_max, last in ((None, grid_mod_cap(u)), (64.0, 64.0)):
+            shells = norm_report(u, NormSpec(family="Ws", s=-0.5, m_max=m_max))["shells"]
+            # M = 1, 2, 4, ... up to m_max, the empty shells at 0.0
+            assert [shell["M"] for shell in shells] == [2.0**i for i in range(int(math.log2(last)) + 1)]
+            for shell in shells:
+                if shell["M"] == 4.0:
+                    assert shell["value"] > 0
+                else:
+                    assert shell["value"] == 0.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
