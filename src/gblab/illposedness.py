@@ -211,6 +211,7 @@ class InflationRow:
     w_proxy: float | None
     w_full: float | None
     picard_iterations: int | None
+    picard_residual: float | None  # sup_t |u - Phi(u)|_{H^s} of the solve; None if it diverged
 
 
 @dataclass(frozen=True)
@@ -309,11 +310,12 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                     N=N, phase=diag["phase"], dt=dt,
                     error=f"no contraction: ratios {exc.ratios[-3:]}",
                     norms=norms, w_proxy=None, w_full=None,
-                    picard_iterations=None,
+                    picard_iterations=None, picard_residual=None,
                 )
             )
             continue
         iterations, converged = result.report.iterations, result.report.converged
+        picard_residual = result.report.residual
         u_end = result.trajectory.field_at(result.trajectory.index_of_time(cfg.t0))
         del result  # its arrays must not sit beside the next, larger solve
         if not converged:
@@ -322,7 +324,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                     N=N, phase=diag["phase"], dt=dt,
                     error=f"no convergence in {iterations} iterations",
                     norms=norms, w_proxy=None, w_full=None,
-                    picard_iterations=iterations,
+                    picard_iterations=iterations, picard_residual=picard_residual,
                 )
             )
             continue
@@ -343,6 +345,7 @@ def inflation_sweep(cfg: InflationConfig) -> InflationReport:
                 w_proxy=h_norm(_low_band(w), -0.5),
                 w_full=h_norm(w, -0.5),
                 picard_iterations=iterations,
+                picard_residual=picard_residual,
             )
         )
     return _finish_report(cfg, rows)
@@ -398,6 +401,7 @@ def report_to_json(report: InflationReport) -> str:
                 "w_proxy": r.w_proxy,
                 "w_full": r.w_full,
                 "picard_iterations": r.picard_iterations,
+                "picard_residual": r.picard_residual,
             }
             for r in report.rows
         ],
@@ -411,7 +415,7 @@ def write_report_csv(report: InflationReport, path) -> None:
         w = csv.writer(fh)
         w.writerow(
             ["N", "data", "free", "second", "solution", "solution_low",
-             "residue", "w_proxy", "w_full", "phase", "dt", "error"]
+             "residue", "w_proxy", "w_full", "phase", "dt", "error", "picard_residual"]
         )
         for r in report.rows:
             n = r.norms[s]
@@ -420,7 +424,7 @@ def write_report_csv(report: InflationReport, path) -> None:
                  repr(n.get("second")), repr(n.get("solution")),
                  repr(n.get("solution_low")), repr(n.get("residue")),
                  repr(r.w_proxy), repr(r.w_full),
-                 repr(r.phase), repr(r.dt), r.error or ""]
+                 repr(r.phase), repr(r.dt), r.error or "", repr(r.picard_residual)]
             )
 
 

@@ -9,6 +9,7 @@ and tau-integrals are dtau-weighted sums on a uniform symmetric grid.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -257,30 +258,37 @@ def dump_spectrum(obj, path) -> None:
 
 
 def load_spectrum(path):
-    """Returns (lattice, rows, coeff): rows == 0 means a single spatial field."""
+    """Returns (lattice, rows, coeff): rows == 0 means a single spatial field.
+
+    The body's size is checked against the header before its array is
+    allocated, and the body is read straight into the returned array.
+    """
     try:
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
-            raw = fh.read()
+            if len(header) < _HEADER.size:
+                raise LatticeError(
+                    f"{path}: {len(header)} bytes, shorter than the {_HEADER.size}-byte header"
+                )
+            lam, K, modes, rows = _HEADER.unpack(header)
+            n_rows = max(int(rows), 1)
+            expected = n_rows * int(modes) * 16
+            body = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if body != expected:
+                raise LatticeError(
+                    f"{path}: body of {body} bytes, expected {n_rows} rows x {modes} modes"
+                    f" x 16 = {expected}"
+                )
+            lattice = make_lattice(lam, K)
+            if lattice.modes != modes:
+                raise LatticeError(f"mode count {modes} inconsistent with lam={lam}, K={K}")
+            coeff = np.empty((n_rows, int(modes)), dtype="<c16")
+            got = fh.readinto(coeff)
     except OSError as exc:
         raise LatticeError(f"cannot read spectrum dump {path}: {exc.strerror}") from None
-    if len(header) < _HEADER.size:
-        raise LatticeError(
-            f"{path}: {len(header)} bytes, shorter than the {_HEADER.size}-byte header"
-        )
-    lam, K, modes, rows = _HEADER.unpack(header)
-    n_rows = max(int(rows), 1)
-    expected = n_rows * int(modes) * 16
-    if len(raw) != expected:
-        raise LatticeError(
-            f"{path}: body of {len(raw)} bytes, expected {n_rows} rows x {modes} modes"
-            f" x 16 = {expected}"
-        )
-    lattice = make_lattice(lam, K)
-    if lattice.modes != modes:
-        raise LatticeError(f"mode count {modes} inconsistent with lam={lam}, K={K}")
-    coeff = np.frombuffer(raw, dtype="<c16").reshape(n_rows, int(modes)).astype(np.complex128)
-    return lattice, int(rows), coeff
+    if got != expected:
+        raise LatticeError(f"{path}: body of {got} bytes, expected {expected}")
+    return lattice, int(rows), coeff.astype(np.complex128, copy=False)
 
 
 def load_field(path) -> SpectralField:

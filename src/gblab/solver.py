@@ -25,8 +25,8 @@ from .norms import sobolev_weight
 from .reduction import omega_multiplier
 
 # time rows per window of the Picard map and per chunk of _a2_quadrature, whose
-# scratch then spans a few windows: a Picard solve of 4097 x 513 peaks at 3.05
-# full-size arrays (three held), the quadrature at K = 256 traces 20 MB
+# scratch then spans a few windows: a Picard solve of 4097 x 513 peaks at 1.06
+# full-size arrays (one held), the quadrature at K = 256 traces 20 MB
 _ROW_CHUNK = 64
 _PLAN_CAP = 16  # product plans kept, one per (half_modes, lattice lam, lam)
 _DIVERGENCE_PATIENCE = 3  # consecutive non-contracting Picard steps tolerated
@@ -305,8 +305,10 @@ class PicardReport:
 @dataclass(frozen=True)
 class PicardResult:
     trajectory: Trajectory
-    iterates: list
     report: PicardReport
+    # always empty: benchmark/layers.py::_picard_hook reads it for
+    # solver.trajectory_bytes; it goes when that hook stops (ROADMAP Direction 1)
+    iterates: tuple = ()
 
 
 def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
@@ -315,12 +317,11 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
     Raises PicardDivergenceError after _DIVERGENCE_PATIENCE consecutive
     non-contracting steps; large data is expected to do this.
 
-    Memory: the loop holds three rows x modes complex arrays (the current
+    Memory: the loop holds one rows x modes complex array, the current
     iterate, which each pass of the Picard map overwrites window by window,
-    and the first two iterates kept for the result) and the scratch of a few
-    windows of _ROW_CHUNK rows; the final residual pass holds no more.  The
-    solve of 4097 rows x 513 modes in tests/test_solver.py peaks at 3.05 of
-    these arrays.
+    and the scratch of a few windows of _ROW_CHUNK rows; the final residual
+    pass holds no more.  The solve of 4097 rows x 513 modes in
+    tests/test_solver.py peaks at 1.06 of these arrays.
     """
     if u0.lattice.lam < cfg.lam:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
@@ -334,14 +335,12 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
         np.conjugate(block[: rows.shape[0]] * np.exp(1j * (lo * cfg.dt) * k2), out=rows)
         rows *= u0.coeff[None, :]
     scale = max(_sup_hs(current, lattice, cfg), 1e-300)
-    iterates = []
     ratios: list = []
     diffs: list = []
     bad_streak = 0
     converged = False
     for _ in range(cfg.max_picard):
-        keep = np.empty_like(current) if len(iterates) < 2 else None
-        d = _picard_map(current, u0, block, cfg, (current,) if keep is None else (current, keep))
+        d = _picard_map(current, u0, block, cfg, (current,))
         diffs.append(d)
         if not np.isfinite(d):
             raise PicardDivergenceError(ratios + [float("inf")])
@@ -351,8 +350,6 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
             bad_streak = bad_streak + 1 if r >= 1.0 else 0
             if bad_streak >= _DIVERGENCE_PATIENCE:
                 raise PicardDivergenceError(ratios)
-        if keep is not None:
-            iterates.append(Trajectory(lattice, t, keep))
         if d <= cfg.contraction_tol * scale:
             converged = True
             break
@@ -365,7 +362,7 @@ def picard_solve(u0: SpectralField, cfg: SolverConfig) -> PicardResult:
         diff_history=diffs,
         residual=residual,
     )
-    return PicardResult(trajectory=traj, iterates=iterates, report=report)
+    return PicardResult(trajectory=traj, report=report)
 
 
 class StepSizeRejection(RuntimeError):

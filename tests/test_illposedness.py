@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -204,6 +205,18 @@ class TestInflationSweep:
         assert "contraction" in row.error or "convergence" in row.error
         assert row.norms[-0.75]["data"] > 0  # partial data retained
 
+    def test_rows_record_the_picard_residual(self):
+        # a converged row's residual meets the solve check's bound; a row
+        # that runs out of iterations keeps its residual, a diverged one has none
+        cfg = small_config(n_list=(12.25, 15.5))
+        for row in inflation_sweep(cfg).rows:
+            assert row.error is None
+            assert 0 <= row.picard_residual < 10 * cfg.contraction_tol * row.norms[cfg.s]["data"]
+        stalled = inflation_sweep(small_config(n_list=(12.25,), delta=60.0, max_picard=12)).rows[0]
+        assert "convergence" in stalled.error and stalled.picard_residual > 0
+        diverged = inflation_sweep(small_config(n_list=(12.25,), delta=200.0, max_picard=12)).rows[0]
+        assert "contraction" in diverged.error and diverged.picard_residual is None
+
     def test_invalid_configs(self):
         with pytest.raises(InflationError):
             small_config(delta=-1.0)
@@ -217,11 +230,15 @@ class TestInflationSweep:
         report = inflation_sweep(cfg)
         payload = report_to_json(report)
         assert "norm-inflation" in payload or "no-inflation" in payload
+        residuals = [r.picard_residual for r in report.rows]
+        assert [r["picard_residual"] for r in json.loads(payload)["rows"]] == residuals
         csv_path = tmp_path / "rows.csv"
         write_report_csv(report, csv_path)
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("N,data,free,second,solution")
+        assert lines[0].endswith(",error,picard_residual")
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [repr(r) for r in residuals]
         tsv = tmp_path / "plot.tsv"
         write_plot_data(report, tsv)
         assert len(tsv.read_text().strip().splitlines()) == 3

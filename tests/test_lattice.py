@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,22 @@ class TestBinaryDump:
         _, rows, coeff = load_spectrum(p)
         assert rows == tau.size
         assert np.array_equal(coeff, u.coeff)
+
+    def test_load_reads_the_body_into_one_array(self, tmp_path):
+        # 1025 time rows x 513 modes, 8.4 MB: no bytes object beside the array
+        lat = make_lattice(4.0, 64.0)
+        t = np.arange(1025) * 1e-3
+        coeff = np.full((t.size, lat.modes), 1.0 - 2.0j)
+        p = tmp_path / "traj.spec"
+        dump_spectrum(Trajectory(lat, t, coeff), p)
+        tracemalloc.start()
+        try:
+            _, rows, got = load_spectrum(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == t.size and np.array_equal(got, coeff)
+        assert peak <= 1.1 * coeff.nbytes
 
 
 @settings(max_examples=25, deadline=None)
