@@ -254,7 +254,7 @@ def dump_spectrum(obj, path) -> None:
     lattice = obj.lattice
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(lattice.lam, lattice.K, lattice.modes, rows))
-        fh.write(np.ascontiguousarray(data, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(data, dtype="<c16"))  # its buffer, not a bytes copy
 
 
 def load_spectrum(path):

@@ -128,32 +128,38 @@ def nonlinearity_rows(
     include_quadratic: bool = True,
 ) -> np.ndarray:
     """F(u) = (1/2) lam^-2 (u - conj u) - (1/4) omega^2 (u + conj u)^2 over
-    stacked spectra (rows x modes).
+    stacked spectra (rows x modes), or over one spectrum (a 1-d row, which
+    gives a 1-d row).
 
-    u + conj u is real, so its square takes real transforms of the j >= 0
-    half of its spectrum, and the square's modes -J..-1 are the conjugates
-    of its modes 1..J.  Temporaries span the rows given: the Picard map
-    passes one window of at most _ROW_CHUNK + 1 rows, the reference
-    integrator one row.
+    Only the j >= 0 half is computed.  The linear term lin is
+    anti-Hermitian, lin(-k) = -conj lin(k), and the quadratic term q is
+    Hermitian, since u + conj u is real; so F(-k) = conj(q(k) - lin(k)).
+    The square takes real transforms of the j >= 0 half of the spectrum of
+    u + conj u.  Temporaries span the rows given: the Picard map passes one
+    window of at most _ROW_CHUNK + 1 rows, the reference integrator one row.
     """
-    rows = np.atleast_2d(rows)
     out = np.empty(rows.shape, dtype=np.complex128)
     J = lattice.half_modes
+    pos, neg = out[..., J:], out[..., :J]
+    a = rows[..., J:]
+    b = np.conj(rows[..., J::-1])  # spectrum of conj u, j >= 0
     if include_linear:
-        # (u - conj u) on the spectral side: u_hat(k) - conj(u_hat(-k))
-        np.subtract(rows, np.conj(rows[:, ::-1]), out=out)
-        out /= 2.0 * lam * lam
+        np.subtract(a, b, out=pos)
+        pos *= 1.0 / (2.0 * lam * lam)
     else:
-        out.fill(0.0)
+        pos.fill(0.0)
     if include_quadratic:
         n, mult = _product_plan(lattice, lam)
-        w = rows[:, J:] + np.conj(rows[:, J::-1])  # spectrum of u + conj(u), j >= 0
-        phys = np.fft.irfft(w, n, axis=-1)
+        b += a  # spectrum of u + conj u, j >= 0
+        phys = np.fft.irfft(b, n, axis=-1)
         phys *= phys
-        sq = np.fft.rfft(phys, axis=-1)[:, : J + 1]
+        sq = np.fft.rfft(phys, axis=-1)[..., : J + 1]
         sq *= mult
-        out[:, J:] += sq
-        out[:, :J] += np.conj(sq[:, J:0:-1])
+        np.subtract(sq[..., J:0:-1], pos[..., J:0:-1], out=neg)
+        pos += sq
+    else:
+        np.negative(pos[..., J:0:-1], out=neg)
+    np.conjugate(neg, out=neg)
     return out
 
 
@@ -204,8 +210,11 @@ def _prefix_integrals(G: np.ndarray, h: float) -> np.ndarray:
 def _phase_block(lattice: FrequencyLattice, dt: float) -> np.ndarray:
     """e^{+i k^2 r dt} for r = 0.._ROW_CHUNK: the interaction-picture phases
     of one window relative to its first time.  The steps are uniform, so a
-    window starting at t_lo has the phases block * e^{+i k^2 t_lo}."""
-    return np.exp(1j * np.outer(np.arange(_ROW_CHUNK + 1) * dt, lattice.k ** 2))
+    window starting at t_lo has the phases block * e^{+i k^2 t_lo}.  k^2 is
+    even in j, so the phases of j >= 0 give the whole block."""
+    J = lattice.half_modes
+    half = np.exp(1j * np.outer(np.arange(_ROW_CHUNK + 1) * dt, lattice.k[J:] ** 2))
+    return np.concatenate([half[:, J:0:-1], half], axis=1)
 
 
 def _windows(n: int):
@@ -377,41 +386,50 @@ def reference_solve(u0: SpectralField, cfg: SolverConfig) -> Trajectory:
     Every step is checked by the embedded pair's error estimate; one above
     _LOCAL_ERROR_CAP raises StepSizeRejection rather than returning polluted
     output.  A step's last stage is the next step's first, so a step costs
-    six right-hand sides.
+    six right-hand sides and one exponential: the grid is uniform, so the
+    stage at t_i + c_s dt has the phase E_i S[s], with E_i = e^{-i k^2 t_i}
+    taken once per step and S[s] = e^{-i k^2 c_s dt} once per solve.
     """
     if u0.lattice.lam < cfg.lam:
         raise LatticeError("data lattice must be at least as fine as cfg.lam")
     t = time_grid(cfg)
     lattice = u0.lattice
     k2 = lattice.k ** 2
+    a_dt = _DP_A * cfg.dt
+    e_dt = _DP_E * cfg.dt
+    S = np.exp(-1j * np.outer(_DP_C * cfg.dt, k2))
 
-    def rhs(time, v):
-        # v is the interaction-picture variable e^{-it dxx} u
-        e = np.exp(-1j * k2 * time)
+    def rhs(s, v):
+        # v is the interaction-picture variable e^{-it dxx} u; stages[s]
+        # holds the stage's phase e, then -i conj(e) F(v e)
+        e = np.multiply(E, S[s], out=stages[s])
         F = nonlinearity_rows(
-            (v * e)[None, :], lattice, cfg.lam,
+            v * e, lattice, cfg.lam,
             include_linear=cfg.include_linear, include_quadratic=cfg.include_quadratic,
-        )[0]
-        return -1j * F * np.conj(e)
+        )
+        np.conjugate(e, out=e)
+        e *= F
+        e *= -1j
 
     coeff = np.zeros((t.size, lattice.modes), dtype=np.complex128)
     coeff[0] = u0.coeff
     stages = np.empty((7, lattice.modes), dtype=np.complex128)
     v = u0.coeff.astype(np.complex128)
-    stages[0] = rhs(t[0], v)
+    E = np.ones(lattice.modes, dtype=np.complex128)  # t_0 = 0
+    rhs(0, v)
     for i in range(t.size - 1):
-        h = t[i + 1] - t[i]
         for s in range(1, 7):
-            w = v + h * (_DP_A[s, :s] @ stages[:s])
-            stages[s] = rhs(t[i] + _DP_C[s] * h, w)
-        err = float(np.abs(h * (_DP_E @ stages)).max())
+            w = v + a_dt[s, :s] @ stages[:s]
+            rhs(s, w)
+        err = float(np.abs(e_dt @ stages).max())
         if err > _LOCAL_ERROR_CAP * max(1.0, float(np.abs(v).max())):
             raise StepSizeRejection(
                 f"local error {err:.3e} at t={t[i]:.6g}; reduce dt"
             )
         v = w  # the fifth-order solution, where the last stage was taken
         stages[0] = stages[6]
-        coeff[i + 1] = v * np.exp(-1j * k2 * t[i + 1])
+        E = np.exp(-1j * k2 * t[i + 1])
+        coeff[i + 1] = v * E
     return Trajectory(lattice, t, coeff)
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -294,6 +295,24 @@ class TestBinaryDump:
             tracemalloc.stop()
         assert rows == t.size and np.array_equal(got, coeff)
         assert peak <= 1.1 * coeff.nbytes
+
+    def test_dump_writes_the_array_without_a_copy(self, tmp_path, rng):
+        # 1025 time rows x 513 modes, 8.4 MB: the body is written from the
+        # array's own buffer, byte for byte the little-endian complex128 data
+        lat = make_lattice(4.0, 64.0)
+        t = np.arange(1025) * 1e-3
+        coeff = rng.standard_normal((t.size, lat.modes)) + 1j * rng.standard_normal((t.size, lat.modes))
+        traj = Trajectory(lat, t, coeff)
+        p = tmp_path / "traj.spec"
+        tracemalloc.start()
+        try:
+            dump_spectrum(traj, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * coeff.nbytes
+        header = struct.pack("<ddQQ", lat.lam, lat.K, lat.modes, t.size)
+        assert p.read_bytes() == header + coeff.astype("<c16").tobytes()
 
 
 @settings(max_examples=25, deadline=None)

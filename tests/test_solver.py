@@ -44,6 +44,7 @@ from gblab.solver import (
 )
 
 from conftest import random_field
+from oracles import nonlinearity_full_spectrum, reference_stagewise
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -133,7 +134,7 @@ class TestNonlinearity:
         lat = make_lattice(2.0, 4.0)
         c = 1.0 + 2.0j
         u = field_from_modes(lat, {0.0: c})
-        out = nonlinearity_rows(u.coeff, lat, 2.0)[0]
+        out = nonlinearity_rows(u.coeff, lat, 2.0)
         # the square lands only on k=0 where the multiplier vanishes
         expected = (c - np.conj(c)) / (2 * 2.0**2)
         assert out[lat.index_of(0.0)] == pytest.approx(expected, abs=1e-14)
@@ -174,16 +175,45 @@ class TestNonlinearity:
         lat = make_lattice(8.0, 1.0)
         u = random_field(lat, rng).coeff
         for lam in (8.0, 2.0, 8.0):
-            got = nonlinearity_rows(u, lat, lam)[0]
+            got = nonlinearity_rows(u, lat, lam)
             oracle = nonlinearity_oracle(u, lat, lam)
             assert np.abs(got - oracle).max() < 1e-12 * max(1.0, np.abs(oracle).max())
+
+    # the lattice's own lam 1..4 at K = 16, the line emulation (lattice lam
+    # 8 with lam 2, 80 with 4) and K = 256; each with both terms and each
+    # term alone
+    @pytest.mark.parametrize(
+        "lattice_lam, K, lam",
+        [(1.0, 16.0, 1.0), (2.0, 16.0, 2.0), (3.0, 16.0, 3.0), (4.0, 16.0, 4.0),
+         (8.0, 1.0, 2.0), (80.0, 1.0, 4.0), (1.0, 256.0, 1.0)],
+        ids=["lam1", "lam2", "lam3", "lam4", "line8", "line80", "K256"],
+    )
+    @pytest.mark.parametrize("n_rows", [1, 65])
+    @pytest.mark.parametrize(
+        "include_linear, include_quadratic",
+        [(True, True), (True, False), (False, True)],
+        ids=["both", "linear", "quadratic"],
+    )
+    def test_bitwise_equal_to_the_full_spectrum_oracle(
+        self, rng, lattice_lam, K, lam, n_rows, include_linear, include_quadratic
+    ):
+        lat = make_lattice(lattice_lam, K)
+        rows = rng.standard_normal((n_rows, lat.modes)) + 1j * rng.standard_normal((n_rows, lat.modes))
+        oracle = nonlinearity_full_spectrum(rows, lat, lam, include_linear, include_quadratic)
+        got = nonlinearity_rows(rows, lat, lam, include_linear, include_quadratic)
+        assert got.shape == rows.shape
+        assert np.array_equal(got.view(np.int64), oracle.view(np.int64))
+        # one spectrum as a 1-d row gives a 1-d row
+        one = nonlinearity_rows(rows[0], lat, lam, include_linear, include_quadratic)
+        assert one.shape == (lat.modes,)
+        assert np.array_equal(one.view(np.int64), oracle[0].view(np.int64))
 
     def test_two_mode_input_brute_force(self):
         lat = make_lattice(1.0, 6.0)
         u = field_from_modes(lat, {2.0: 1.0 + 0.5j, 3.0: -0.25})
         w = u.coeff + np.conj(u.coeff[::-1])
         oracle = -0.25 * omega_multiplier(lat) * brute_force_product_spectrum(w, w, lat)
-        got = nonlinearity_rows(u.coeff, lat, 1.0, include_linear=False)[0]
+        got = nonlinearity_rows(u.coeff, lat, 1.0, include_linear=False)
         assert np.abs(got - oracle).max() < 1e-12
 
 
@@ -455,6 +485,32 @@ class TestReference:
             traj = reference_solve(u0, SolverConfig(lam=2.0, s=-0.5, T=0.1, dt=dt))
             ends.append(traj.coeff[traj.index_of_time(0.1)])
         assert np.abs(ends[0] - ends[1]).max() < 1e-9 * np.abs(ends[1]).max()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("amplitude", [0.01, 1.0])
+    def test_matches_the_stagewise_oracle(self, seed, amplitude):
+        # the grid of the solve benchmark: one exponential per step and the
+        # tableau scaled by dt once agree with phases taken per stage
+        lat = make_lattice(4.0, 16.0)
+        gen = np.random.default_rng(seed)
+        c = gen.standard_normal(lat.modes) + 1j * gen.standard_normal(lat.modes)
+        u0 = SpectralField(lat, c * amplitude / (1.0 + lat.k ** 2))
+        cfg = SolverConfig(lam=4.0, s=-0.5, T=0.25, dt=1e-3)
+        got = reference_solve(u0, cfg)
+        oracle = reference_stagewise(u0, cfg)
+        assert np.array_equal(got.t, oracle.t)
+        assert np.abs(got.coeff - oracle.coeff).max() <= 1e-14 * np.abs(oracle.coeff).max()
+
+    def test_guard_trips_at_the_same_step_as_the_oracle(self):
+        # the data of CI's reject.ini: the sixth step's error estimate is 3.5e-7
+        lat = make_lattice(2.0, 8.0)
+        u0 = field_from_modes(lat, {1.0: 32.0, -2.0: 16j, 3.0: 9.6})
+        cfg = SolverConfig(lam=2.0, s=-0.5, T=0.1, dt=1e-2)
+        with pytest.raises(StepSizeRejection, match="at t=0.06;") as got:
+            reference_solve(u0, cfg)
+        with pytest.raises(StepSizeRejection) as oracle:
+            reference_stagewise(u0, cfg)
+        assert str(got.value) == str(oracle.value)
 
     def test_multiplier_built_once_per_lattice(self, monkeypatch):
         import gblab.solver
